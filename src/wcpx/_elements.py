@@ -18,7 +18,7 @@ def basis_vec(i: int, field) -> Vec:
 
 
 def unit_vec(unit: LinMap) -> Vec:
-    return {r: row[0] for r, row in enumerate(unit.entries) if row[0]}
+    return unit.column_entries(0)
 
 
 def scale_vec(c, vec: Vec) -> Vec:
@@ -45,10 +45,8 @@ def apply_map(m: LinMap, vec: Vec) -> Vec:
     for col, coeff in vec.items():
         if not coeff:
             continue
-        for row in range(m.target.total):
-            entry = m.entries[row][col]
-            if entry:
-                add_into(out, {row: entry * coeff})
+        for row, entry in m.column_entries(col).items():
+            add_into(out, {row: entry * coeff})
     return out
 
 
@@ -68,12 +66,7 @@ def apply_to_pair(m: LinMap, left: Vec, right: Vec) -> Vec:
 def expand_pairs(comul: LinMap, i: int) -> list[tuple[tuple[int, int], object]]:
     """The coproduct of basis element i as ((left, right), coefficient) terms."""
     n = comul.target.factors[1]
-    terms = []
-    for row in range(comul.target.total):
-        c = comul.entries[row][i]
-        if c:
-            terms.append(((row // n, row % n), c))
-    return terms
+    return [((row // n, row % n), c) for row, c in comul.column_entries(i).items()]
 
 
 def expand_triples(comul: LinMap, i: int) -> list[tuple[tuple[int, int, int], object]]:

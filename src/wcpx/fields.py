@@ -3,7 +3,9 @@
 Rational scalars are plain ``fractions.Fraction`` values; prime-field
 scalars are immutable ``Fp`` residues.  A ``FieldSpec`` names the field
 in play and coerces, parses and formats scalars for it.  Every other
-module treats scalars opaquely through ``+ - * / ==`` and truthiness.
+module treats scalars opaquely through ``+ - * / ==`` and truthiness,
+except the ``linmaps`` kernel, which stores F_p entries as plain int
+residues and integral rationals as ints, and hands out field scalars.
 """
 
 from __future__ import annotations
@@ -16,14 +18,36 @@ class FieldError(ValueError):
     """Malformed field declaration or scalar outside the field."""
 
 
+# Miller-Rabin with these bases decides primality exactly for every
+# n < MAX_CHARACTERISTIC (Sorenson and Webster, 2015); larger
+# characteristics are refused rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_CHARACTERISTIC = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    if n >= MAX_CHARACTERISTIC:
+        raise FieldError(f"characteristic {n} is too large: primality is only decided "
+                         f"below {MAX_CHARACTERISTIC}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -154,5 +178,8 @@ def parse_field(text: str) -> FieldSpec:
     if text in ("Q", "QQ"):
         return QQ
     if text.startswith("F") and text[1:].isdigit():
+        if len(text) - 1 > len(str(MAX_CHARACTERISTIC)):
+            raise FieldError(f"characteristic in {text[:20]}... is too large: primality "
+                             f"is only decided below {MAX_CHARACTERISTIC}")
         return prime_field(int(text[1:]))
     raise FieldError(f"unknown field {text!r} (expected Q or F<p>)")

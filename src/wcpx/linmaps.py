@@ -1,9 +1,21 @@
-"""Dense exact linear maps between tensor products of based spaces.
+"""Exact linear maps between tensor products of based spaces, stored by sparse rows.
 
-A map is stored as a matrix over the row-major flattening of its ordered
-tensor factors.  Composition, Kronecker product, the symmetric swap and
+A map is a matrix over the row-major flattening of its ordered tensor
+factors.  Row r is a dict {col: value} holding only the nonzero entries of
+that row, so every map has exactly one representation: two maps are equal
+when their rows are equal as dicts, and the cost of every primitive
+follows the number of nonzero entries, not the dense size.  Composition,
+Kronecker product, the symmetric swap, permutation of source factors and
 idempotent splitting are the only primitives; every structural condition
 checked elsewhere in the package reduces to exact equality of such maps.
+
+Scalar boundary: inside the rows, an F_p entry is its residue as a plain
+int in 1..p-1, and a rational entry is an int when it is integral and a
+``Fraction`` otherwise.  The kernel multiplies and adds these values
+directly and reduces an F_p result once per output entry.  Values leave
+the kernel as field scalars (``Fp`` or ``Fraction``) through ``at``,
+``column``, ``entries`` and the ``Difference`` of ``first_difference``;
+``entries`` is a dense row-major view built only when it is read.
 
 Conventions, fixed package-wide:
   * basis index of e_{i1} (x) ... (x) e_{ik} is the row-major flattening;
@@ -14,10 +26,13 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
+from functools import cached_property, reduce
+from types import MappingProxyType
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldError, FieldSpec, Fp, Scalar
 
 
 class ShapeMismatchError(ValueError):
@@ -38,7 +53,7 @@ class ObjectShape:
         if any(not isinstance(d, int) or d < 1 for d in self.factors):
             raise ShapeMismatchError(f"factor dimensions must be positive: {self.factors}")
 
-    @property
+    @cached_property
     def total(self) -> int:
         n = 1
         for d in self.factors:
@@ -80,43 +95,144 @@ def shape(*dims: int) -> ObjectShape:
     return ObjectShape(tuple(dims))
 
 
-@dataclass(frozen=True)
+# -- the scalar boundary ---------------------------------------------------------
+
+Row = dict[int, "int | Fraction"]
+
+
+def _raw(field: FieldSpec, value) -> int | Fraction:
+    """A field scalar (or anything ``field.coerce`` accepts) as a kernel value."""
+    x = field.coerce(value)
+    if isinstance(x, Fp):
+        return x.residue
+    return x.numerator if x.denominator == 1 else x
+
+
+def _scalar(field: FieldSpec, value) -> Scalar:
+    """A kernel value (zero allowed) as a field scalar."""
+    if field.characteristic:
+        return Fp(value, field.characteristic)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _canonical(acc: Row, p: int) -> Row:
+    """Drop the zeros of an accumulated row: reduce mod p over F_p, and keep
+    integral rationals as ints so that later products stay integer products."""
+    if p:
+        return {c: r for c, v in acc.items() if (r := v % p)}
+    return {c: v.numerator if v.denominator == 1 else v for c, v in acc.items() if v}
+
+
+def _check_index(row: int, col: int, source: ObjectShape, target: ObjectShape) -> None:
+    if not (0 <= row < target.total and 0 <= col < source.total):
+        raise ShapeMismatchError(
+            f"entry ({row}, {col}) out of range for a map {source} -> {target}")
+
+
+def _same_field(f: "LinMap", g: "LinMap") -> None:
+    if f.field != g.field:
+        raise FieldError(f"cannot combine a map over {f.field} with one over {g.field}")
+
+
+def _init(m: "LinMap", field: FieldSpec, source: ObjectShape, target: ObjectShape,
+          rows) -> None:
+    setattr_ = object.__setattr__
+    setattr_(m, "field", field)
+    setattr_(m, "source", source)
+    setattr_(m, "target", target)
+    setattr_(m, "_rows", tuple(rows))
+
+
 class LinMap:
-    """An exact linear map: target.total x source.total matrix of scalars."""
+    """An exact linear map: a target.total x source.total matrix of scalars.
 
-    field: FieldSpec
-    source: ObjectShape
-    target: ObjectShape
-    entries: tuple[tuple[Scalar, ...], ...]
+    A map is immutable.  Its rows (one {col: value} dict of nonzero kernel
+    values per row, see the module docstring) are shared between maps that
+    have the same matrix, and ``rows`` hands them out as read-only views.
+    The constructor takes dense rows of scalars, as ``entries`` returns them.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.target.total:
+    __slots__ = ("field", "source", "target", "_rows")
+
+    def __init__(self, field: FieldSpec, source: ObjectShape, target: ObjectShape,
+                 entries) -> None:
+        if len(entries) != target.total:
             raise ShapeMismatchError(
-                f"{len(self.entries)} rows for target {self.target} of size {self.target.total}")
-        for row in self.entries:
-            if len(row) != self.source.total:
+                f"{len(entries)} rows for target {target} of size {target.total}")
+        rows = []
+        for dense in entries:
+            if len(dense) != source.total:
                 raise ShapeMismatchError(
-                    f"{len(row)} columns for source {self.source} of size {self.source.total}")
+                    f"{len(dense)} columns for source {source} of size {source.total}")
+            rows.append({c: v for c, x in enumerate(dense) if (v := _raw(field, x))})
+        _init(self, field, source, target, rows)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, source: ObjectShape, target: ObjectShape, rows) -> "LinMap":
+        """Wrap rows that are already canonical kernel values."""
+        m = object.__new__(cls)
+        _init(m, field, source, target, rows)
+        return m
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"LinMap is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"LinMap is immutable: cannot delete {name!r}")
+
+    @property
+    def rows(self) -> tuple[MappingProxyType, ...]:
+        """Read-only views of the sparse rows, {col: kernel value} per row."""
+        return tuple(MappingProxyType(row) for row in self._rows)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, source: ObjectShape, target: ObjectShape, rows) -> "LinMap":
-        entries = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        return cls(field, source, target, entries)
+        return cls(field, source, target, [tuple(row) for row in rows])
 
     @classmethod
     def from_dict(cls, field: FieldSpec, source: ObjectShape, target: ObjectShape, values) -> "LinMap":
         """Build from a sparse {(row, col): scalar} dict; absent entries are zero."""
-        zero = field.zero()
-        rows = [[zero] * source.total for _ in range(target.total)]
-        for (r, c), v in values.items():
-            rows[r][c] = field.coerce(v)
-        return cls(field, source, target, tuple(tuple(row) for row in rows))
+        rows: list[Row] = [{} for _ in range(target.total)]
+        for (r, c), x in values.items():
+            _check_index(r, c, source, target)
+            v = _raw(field, x)
+            if v:
+                rows[r][c] = v
+        return cls._of(field, source, target, rows)
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense row-major view of the matrix as field scalars, built on each read."""
+        zero, field = self.field.zero(), self.field
+        out = []
+        for row in self._rows:
+            dense = [zero] * self.source.total
+            for c, v in row.items():
+                dense[c] = _scalar(field, v)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def at(self, row: int, col: int) -> Scalar:
-        return self.entries[row][col]
+        _check_index(row, col, self.source, self.target)
+        v = self._rows[row].get(col)
+        return _scalar(self.field, v) if v else self.field.zero()
 
     def column(self, col: int) -> tuple[Scalar, ...]:
-        return tuple(row[col] for row in self.entries)
+        zero, hits = self.field.zero(), self.column_entries(col)
+        return tuple(hits.get(r, zero) for r in range(self.target.total))
+
+    def column_entries(self, col: int) -> dict[int, Scalar]:
+        """The nonzero entries of one column, as {row: scalar}."""
+        _check_index(0, col, self.source, self.target)
+        field = self.field
+        return {r: _scalar(field, row[col]) for r, row in enumerate(self._rows) if col in row}
+
+    def reshaped(self, source: ObjectShape, target: ObjectShape) -> "LinMap":
+        """The same matrix with other factor bookkeeping of equal sizes."""
+        if source.total != self.source.total or target.total != self.target.total:
+            raise ShapeMismatchError(f"cannot view {self.source}->{self.target} "
+                                     f"as {source}->{target}")
+        return LinMap._of(self.field, source, target, self._rows)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return compose(self, other)
@@ -128,20 +244,40 @@ class LinMap:
         if self.source.total != other.source.total or self.target.total != other.target.total:
             raise ShapeMismatchError(f"cannot add maps {self.source}->{self.target} "
                                      f"and {other.source}->{other.target}")
-        entries = tuple(tuple(a + b for a, b in zip(r1, r2))
-                        for r1, r2 in zip(self.entries, other.entries))
-        return LinMap(self.field, self.source, self.target, entries)
+        _same_field(self, other)
+        rows = []
+        for a, b in zip(self._rows, other._rows):
+            acc = dict(a)
+            for c, v in b.items():
+                acc[c] = acc[c] + v if c in acc else v
+            rows.append(_canonical(acc, self.field.characteristic))
+        return LinMap._of(self.field, self.source, self.target, rows)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + other.scale(self.field.coerce(-1))
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> "LinMap":
-        s = self.field.coerce(scalar)
-        entries = tuple(tuple(s * x for x in row) for row in self.entries)
-        return LinMap(self.field, self.source, self.target, entries)
+        s = _raw(self.field, scalar)
+        p = self.field.characteristic
+        rows = [{c: v * s % p if p else v * s for c, v in row.items()} if s else {}
+                for row in self._rows]
+        return LinMap._of(self.field, self.source, self.target, rows)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinMap):
+            return NotImplemented
+        return (self.field == other.field and self.source == other.source
+                and self.target == other.target and self._rows == other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.source, self.target,
+                     tuple(frozenset(row.items()) for row in self._rows)))
+
+    def __repr__(self) -> str:
+        return f"LinMap({self.field}, {self.source}, {self.target}, rows={list(self._rows)})"
 
     def __str__(self) -> str:
         return f"LinMap {self.source} -> {self.target} over {self.field}"
@@ -149,16 +285,11 @@ class LinMap:
 
 def identity(field: FieldSpec, shape_or_dim) -> LinMap:
     sh = shape_or_dim if isinstance(shape_or_dim, ObjectShape) else ObjectShape((shape_or_dim,))
-    one, zero = field.one(), field.zero()
-    n = sh.total
-    entries = tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
-    return LinMap(field, sh, sh, entries)
+    return LinMap._of(field, sh, sh, [{i: 1} for i in range(sh.total)])
 
 
 def zero_map(field: FieldSpec, source: ObjectShape, target: ObjectShape) -> LinMap:
-    zero = field.zero()
-    entries = tuple(tuple(zero for _ in range(source.total)) for _ in range(target.total))
-    return LinMap(field, source, target, entries)
+    return LinMap._of(field, source, target, [{} for _ in range(target.total)])
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -167,50 +298,81 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
         raise ShapeMismatchError(
             f"cannot compose: g has target {g.target} (size {g.target.total}) "
             f"but f has source {f.source} (size {f.source.total})")
-    zero = f.field.zero()
-    g_rows = g.entries
+    _same_field(f, g)
+    p, g_rows = f.field.characteristic, g._rows
+    rows = []
+    for frow in f._rows:
+        acc: Row = defaultdict(int)
+        for j, fj in frow.items():
+            for c, gc in g_rows[j].items():
+                acc[c] += fj * gc
+        rows.append(_canonical(acc, p))
+    return LinMap._of(f.field, g.source, f.target, rows)
+
+
+def _kron_rows(frow: Row, g: LinMap, p: int) -> list[Row]:
+    """The rows of (one row of f) (x) g, one for each row of g."""
+    width = g.source.total
     out = []
-    for frow in f.entries:
-        acc = [zero] * g.source.total
-        for j, fj in enumerate(frow):
-            if not fj:
-                continue
-            grow = g_rows[j]
-            for c, gc in enumerate(grow):
-                if gc:
-                    acc[c] = acc[c] + fj * gc
-        out.append(tuple(acc))
-    return LinMap(f.field, g.source, f.target, tuple(out))
+    for grow in g._rows:
+        row: Row = {}
+        for j, fv in frow.items():
+            base = j * width
+            # a product of two nonzero field elements is nonzero
+            if p:
+                row.update({base + c: fv * gv % p for c, gv in grow.items()})
+            else:
+                row.update({base + c: fv * gv for c, gv in grow.items()})
+        out.append(row)
+    return out
 
 
 def tensor(*maps: LinMap) -> LinMap:
     """Kronecker product of maps, consistent with row-major flattening."""
-
-    def _pair(f: LinMap, g: LinMap) -> LinMap:
-        zeros = [f.field.zero()] * g.source.total
-        out = []
-        for frow in f.entries:
-            for grow in g.entries:
-                row = []
-                for fv in frow:
-                    if fv:
-                        row.extend(fv * gv for gv in grow)
-                    else:
-                        row.extend(zeros)
-                out.append(tuple(row))
-        return LinMap(f.field, f.source.tensor(g.source), f.target.tensor(g.target), tuple(out))
-
-    return reduce(_pair, maps)
+    for m in maps[1:]:
+        _same_field(maps[0], m)
+    source = reduce(ObjectShape.tensor, (m.source for m in maps))
+    target = reduce(ObjectShape.tensor, (m.target for m in maps))
+    p = maps[0].field.characteristic
+    rows = maps[0]._rows
+    for g in maps[1:]:
+        rows = [row for frow in rows for row in _kron_rows(frow, g, p)]
+    return LinMap._of(maps[0].field, source, target, rows)
 
 
 def braiding(field: FieldSpec, m: int, n: int) -> LinMap:
     """The symmetric swap of an m-dimensional with an n-dimensional factor."""
-    values = {}
-    one = field.one()
+    rows: list[Row] = [{} for _ in range(m * n)]
     for i in range(m):
         for j in range(n):
-            values[(j * m + i, i * n + j)] = one
-    return LinMap.from_dict(field, shape(m, n), shape(n, m), values)
+            rows[j * m + i] = {i * n + j: 1}
+    return LinMap._of(field, shape(m, n), shape(n, m), rows)
+
+
+def permute_source(f: LinMap, factors: tuple[int, ...], order: tuple[int, ...]) -> LinMap:
+    """f after the permutation of its source factors that puts factor order[k] in slot k.
+
+    The source of f is read as the factors ``factors``; the result has
+    source factors ``factors[order[0]], factors[order[1]], ...``.  This is
+    ``f @ s`` for the permutation map s of tensor factors (for example
+    ``order=(0, 2, 1, 3)`` gives ``f @ tensor(id, braiding, id)``), with s
+    applied to column indices instead of being built as a matrix.
+    """
+    n = len(factors)
+    if sorted(order) != list(range(n)) or ObjectShape(tuple(factors)).total != f.source.total:
+        raise ShapeMismatchError(
+            f"cannot permute source {f.source} read as {factors} by {order}")
+    strides = [1] * n
+    for i in range(n - 1, 0, -1):
+        strides[i - 1] = strides[i] * factors[i]
+    moved = [0]  # new flat index -> old flat index
+    for k in order:
+        moved = [m + j * strides[k] for m in moved for j in range(factors[k])]
+    back = [0] * len(moved)
+    for new, old in enumerate(moved):
+        back[old] = new
+    rows = [{back[c]: v for c, v in row.items()} for row in f._rows]
+    return LinMap._of(f.field, ObjectShape(tuple(factors[k] for k in order)), f.target, rows)
 
 
 @dataclass(frozen=True)
@@ -231,57 +393,62 @@ def equals(f: LinMap, g: LinMap) -> bool:
     """
     if f.source.total != g.source.total or f.target.total != g.target.total:
         return False
-    return f.entries == g.entries
+    _same_field(f, g)
+    return f._rows == g._rows
 
 
 def first_difference(f: LinMap, g: LinMap) -> Difference | None:
     if f.source.total != g.source.total or f.target.total != g.target.total:
         raise ShapeMismatchError(
             f"cannot compare {f.source}->{f.target} with {g.source}->{g.target}")
-    for r, (row_f, row_g) in enumerate(zip(f.entries, g.entries)):
-        for c, (a, b) in enumerate(zip(row_f, row_g)):
-            if a != b:
-                return Difference(r, c, a, b)
+    _same_field(f, g)
+    for r, (a, b) in enumerate(zip(f._rows, g._rows)):
+        if a != b:
+            c = min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+            return Difference(r, c, _scalar(f.field, a.get(c, 0)), _scalar(f.field, b.get(c, 0)))
     return None
-
-
-def set_entry(m: LinMap, row: int, col: int, value) -> LinMap:
-    """Copy of m with one entry replaced (mutation helper for fixtures)."""
-    v = m.field.coerce(value)
-    entries = tuple(
-        tuple(v if (r == row and c == col) else x for c, x in enumerate(rw))
-        for r, rw in enumerate(m.entries))
-    return LinMap(m.field, m.source, m.target, entries)
 
 
 def set_column(m: LinMap, col: int, values: dict[int, object]) -> LinMap:
     """Copy of m with one column replaced by the given sparse vector."""
-    zero = m.field.zero()
-    entries = tuple(
-        tuple(m.field.coerce(values.get(r, zero)) if c == col else x
-              for c, x in enumerate(rw))
-        for r, rw in enumerate(m.entries))
-    return LinMap(m.field, m.source, m.target, entries)
+    _check_index(0, col, m.source, m.target)
+    column = {}
+    for r, x in values.items():
+        _check_index(r, col, m.source, m.target)
+        column[r] = _raw(m.field, x)
+    rows = []
+    for r, row in enumerate(m._rows):
+        row = dict(row)
+        row.pop(col, None)
+        if column.get(r):
+            row[col] = column[r]
+        rows.append(row)
+    return LinMap._of(m.field, m.source, m.target, rows)
 
 
-def _rref(rows: list[list[Scalar]], field: FieldSpec) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form, leftmost pivots, leading entries 1."""
-    rows = [list(r) for r in rows]
+def _rref(rows: list[Row], p: int) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows, leftmost pivots, leading entries 1."""
+    rows = list(rows)
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+    n_cols = 1 + max((c for row in rows for c in row), default=-1)
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, n_rows) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        lead = rows[r][c]
+        inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
+        pivot = _canonical({k: inv * x for k, x in rows[r].items()}, p)
+        rows[r] = pivot
         for i in range(n_rows):
-            if i != r and rows[i][c]:
+            if i != r and c in rows[i]:
                 factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                acc = dict(rows[i])
+                for k, y in pivot.items():
+                    acc[k] = acc[k] - factor * y if k in acc else -factor * y
+                rows[i] = _canonical(acc, p)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -289,10 +456,16 @@ def _rref(rows: list[list[Scalar]], field: FieldSpec) -> tuple[list[list[Scalar]
     return rows, pivots
 
 
+def _transpose(rows, width: int) -> list[Row]:
+    cols: list[Row] = [{} for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
 def rank(m: LinMap) -> int:
-    if m.source.total == 0 or m.target.total == 0:
-        return 0
-    _, pivots = _rref([list(r) for r in m.entries], m.field)
+    _, pivots = _rref(list(m._rows), m.field.characteristic)
     return len(pivots)
 
 
@@ -321,18 +494,15 @@ def split_idempotent(e: LinMap) -> Splitting:
             f"map is not idempotent: e@e and e differ on basis vector "
             f"{e.source.unflatten(diff.col)} at output {e.target.unflatten(diff.row)} "
             f"({diff.left} vs {diff.right})")
-    n = e.target.total
     # reduced column echelon of e = transposed rref of e^T
-    transposed = [[e.entries[r][c] for r in range(n)] for c in range(n)]
-    reduced, pivot_rows = _rref(transposed, e.field)
+    n = e.target.total
+    reduced, pivot_rows = _rref(_transpose(e._rows, n), e.field.characteristic)
     r = len(pivot_rows)
     if r == 0:
         raise NotIdempotentError("cannot split the zero idempotent: the image is the zero space")
     mid = ObjectShape((r,))
-    inj_entries = tuple(tuple(reduced[k][row] for k in range(r)) for row in range(n))
-    injection = LinMap(e.field, mid, e.target, inj_entries)
-    proj_entries = tuple(e.entries[pr] for pr in pivot_rows)
-    projection = LinMap(e.field, e.source, mid, proj_entries)
+    injection = LinMap._of(e.field, mid, e.target, _transpose(reduced[:r], n))
+    projection = LinMap._of(e.field, e.source, mid, [e._rows[pr] for pr in pivot_rows])
     if not equals(projection @ injection, identity(e.field, mid)):
         raise NotIdempotentError("internal error: projection @ injection != id")
     if not equals(injection @ projection, e):

@@ -505,8 +505,7 @@ def _fmt(field: FieldSpec, value) -> str:
 
 def _emit_columns(lines: list[str], prefix_for, m: LinMap, field: FieldSpec) -> None:
     for col in range(m.source.total):
-        assignments = [f"{r + 1}={_fmt(field, m.entries[r][col])}"
-                       for r in range(m.target.total) if m.entries[r][col]]
+        assignments = [f"{r + 1}={_fmt(field, v)}" for r, v in m.column_entries(col).items()]
         if assignments:
             lines.append(f"{prefix_for(col)} : {' '.join(assignments)}")
 
@@ -515,18 +514,18 @@ def _emit_structure(lines: list[str], kind: str, name: str, data, field: FieldSp
     dim = data.dim
     lines.append(f"{kind} {name} dim {dim}")
     if kind in ("algebra", "bialgebra", "hopf", "prehopf"):
-        unit_col = [_fmt(field, data.unit.entries[i][0]) for i in range(dim)]
+        unit_col = [_fmt(field, v) for v in data.unit.column(0)]
         lines.append(f"unit: {' '.join(unit_col)}")
         _emit_columns(lines,
                       lambda col: f"mul {col // dim + 1} {col % dim + 1}",
                       data.mul, field)
     if kind in ("coalgebra", "bialgebra", "hopf", "prehopf"):
-        counit_row = [_fmt(field, data.counit.entries[0][i]) for i in range(dim)]
+        counit_row = [_fmt(field, data.counit.at(0, i)) for i in range(dim)]
         lines.append(f"counit: {' '.join(counit_row)}")
         comul = data.comul
         for col in range(dim):
-            assignments = [f"({r // dim + 1},{r % dim + 1})={_fmt(field, comul.entries[r][col])}"
-                           for r in range(dim * dim) if comul.entries[r][col]]
+            assignments = [f"({r // dim + 1},{r % dim + 1})={_fmt(field, v)}"
+                           for r, v in comul.column_entries(col).items()]
             if assignments:
                 lines.append(f"comul {col + 1} : {' '.join(assignments)}")
     if kind == "hopf":

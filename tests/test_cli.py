@@ -139,3 +139,11 @@ def test_report_checks_map_to_anchor_table(tmp_path):
     for record in doc["checks"]:
         assert ANCHORS[record["check"]] == record["anchor"]
     assert doc["input_digest"].startswith("sha256:")
+
+
+def test_huge_characteristic_exits_two(tmp_path):
+    huge = tmp_path / "huge.wx"
+    huge.write_text("field F" + "9" * 40 + "\n\nalgebra A dim 1\nunit: 1\nmul 1 1 : 1=1\n")
+    result = run("check-structure", huge)
+    assert result.exit_code == 2
+    assert "too large" in result.output

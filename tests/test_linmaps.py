@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, NotIdempotentError, ObjectShape,
                           ShapeMismatchError, braiding, compose, equals,
-                          first_difference, identity, rank, shape,
-                          split_idempotent, tensor)
+                          first_difference, identity, permute_source,
+                          rank, shape, split_idempotent, tensor, zero_map)
+from wcpx.structures import check_hopf, group_algebra
 
 F5 = prime_field(5)
 FIELDS = [QQ, F5]
@@ -236,3 +237,176 @@ def test_split_random_conjugated_projector(field, data):
     assert s.mid.total == r == rank(e)
     assert equals(s.projection @ s.injection, identity(field, s.mid))
     assert equals(s.injection @ s.projection, e)
+
+
+# -- the sparse kernel against a naive dense reference ------------------------------
+#
+# The references below work on dense lists of field scalars with the field's
+# own + and *, one entry at a time, so they share nothing with the kernel's
+# sparse rows or its integer residues.  F_2 and F_3 make cancellation to zero
+# frequent, which is where a sparse representation can go wrong.
+
+REF_FIELDS = [QQ, prime_field(2), prime_field(3)]
+REF_IDS = ["Q", "F2", "F3"]
+tiny = st.integers(min_value=-2, max_value=2)
+
+
+def dense_st(field, n_rows, n_cols):
+    return st.lists(st.lists(tiny.map(field.coerce), min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+def ref_compose(field, f, g):
+    return [[sum((f[r][j] * g[j][c] for j in range(len(g))), field.zero())
+             for c in range(len(g[0]))] for r in range(len(f))]
+
+
+def ref_tensor(f, g):
+    return [[f[r1][c1] * g[r2][c2] for c1 in range(len(f[0])) for c2 in range(len(g[0]))]
+            for r1 in range(len(f)) for r2 in range(len(g))]
+
+
+def ref_first_difference(f, g):
+    for r in range(len(f)):
+        for c in range(len(f[0])):
+            if f[r][c] != g[r][c]:
+                return (r, c, f[r][c], g[r][c])
+    return None
+
+
+def as_lists(m):
+    return [list(row) for row in m.entries]
+
+
+def assert_canonical(m):
+    assert len(m.rows) == m.target.total
+    for row in m.rows:
+        assert all(0 <= c < m.source.total and v for c, v in row.items())
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_matches_dense_reference(field, data):
+    m, n, k = data.draw(dims), data.draw(dims), data.draw(dims)
+    f = data.draw(dense_st(field, m, n))
+    g = data.draw(dense_st(field, n, k))
+    got = compose(LinMap(field, shape(n), shape(m), f), LinMap(field, shape(k), shape(n), g))
+    assert as_lists(got) == ref_compose(field, f, g)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tensor_matches_dense_reference(field, data):
+    a, b, c, d = (data.draw(st.integers(min_value=1, max_value=3)) for _ in range(4))
+    f = data.draw(dense_st(field, a, b))
+    g = data.draw(dense_st(field, c, d))
+    got = tensor(LinMap(field, shape(b), shape(a), f), LinMap(field, shape(d), shape(c), g))
+    assert (got.source.factors, got.target.factors) == ((b, d), (a, c))
+    assert as_lists(got) == ref_tensor(f, g)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(m=dims, n=dims)
+@settings(max_examples=20, deadline=None)
+def test_braiding_matches_dense_reference(field, m, n):
+    # column i*n+j is e_i (x) e_j, which goes to e_j (x) e_i, row j*m+i
+    expected = [[field.one() if r == (col % n) * m + col // n else field.zero()
+                 for col in range(m * n)] for r in range(m * n)]
+    c = braiding(field, m, n)
+    assert (c.source.factors, c.target.factors) == ((m, n), (n, m))
+    assert [[c.at(r, col) for col in range(m * n)] for r in range(m * n)] == expected
+    assert as_lists(c) == expected
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_permute_source_is_composite_with_middle_swap(field, data):
+    a, b, c, d = (data.draw(st.integers(min_value=1, max_value=3)) for _ in range(4))
+    rows = data.draw(dims)
+    f = LinMap(field, shape(a, b, c, d), shape(rows),
+               data.draw(dense_st(field, rows, a * b * c * d)))
+    swapped = tensor(identity(field, a), braiding(field, c, b), identity(field, d))
+    got = permute_source(f, (a, b, c, d), (0, 2, 1, 3))
+    assert got.source.factors == (a, c, b, d)
+    assert as_lists(got) == as_lists(f @ swapped)
+
+
+def test_permute_source_rejects_bad_permutation():
+    f = identity(QQ, shape(2, 3))
+    with pytest.raises(ShapeMismatchError):
+        permute_source(f, (2, 3), (0, 0))
+    with pytest.raises(ShapeMismatchError):
+        permute_source(f, (2, 2), (1, 0))
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_equals_and_first_difference_match_dense_reference(field, data):
+    m, n = data.draw(dims), data.draw(dims)
+    f = data.draw(dense_st(field, m, n))
+    g = [list(row) for row in f]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        r = data.draw(st.integers(min_value=0, max_value=m - 1))
+        c = data.draw(st.integers(min_value=0, max_value=n - 1))
+        g[r][c] = field.coerce(data.draw(tiny))
+    lf, lg = LinMap(field, shape(n), shape(m), f), LinMap(field, shape(n), shape(m), g)
+    expected = ref_first_difference(f, g)
+    assert equals(lf, lg) == (expected is None)
+    diff = first_difference(lf, lg)
+    if expected is None:
+        assert diff is None
+    else:
+        assert (diff.row, diff.col, diff.left, diff.right) == expected
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_difference_with_own_negative_is_canonical_zero(field, data):
+    m, n = data.draw(dims), data.draw(dims)
+    f = LinMap(field, shape(n), shape(m), data.draw(dense_st(field, m, n)))
+    z = f + f.scale(-1)
+    assert z.is_zero()
+    assert z.rows == tuple({} for _ in range(m))
+    assert equals(z, zero_map(field, shape(n), shape(m)))
+    assert equals(f - f, z)
+
+
+@pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_from_dict_rejects_out_of_range_index(index):
+    with pytest.raises(ShapeMismatchError):
+        LinMap.from_dict(QQ, shape(3), shape(2), {index: 1})
+
+
+def test_from_dict_drops_explicit_zeros():
+    m = LinMap.from_dict(prime_field(3), shape(2), shape(2), {(0, 0): 3, (1, 1): 1})
+    assert m.rows == ({}, {1: 1})
+
+
+def test_maps_sharing_rows_cannot_be_changed_through_each_other():
+    m = LinMap.from_rows(QQ, shape(2), shape(2), [[1, 2], [0, 3]])
+    view = m.reshaped(shape(2, 1), shape(1, 2))
+    before = hash(m)
+    with pytest.raises(TypeError):
+        view.rows[0][1] = 5
+    with pytest.raises(AttributeError):
+        view.field = F5
+    with pytest.raises(AttributeError):
+        del m.source
+    assert as_lists(m) == [[1, 2], [0, 3]] and hash(m) == before
+
+
+def test_hopf_axioms_of_twelve_element_group_stay_sparse():
+    # the middle swap for the bialgebra axiom would be a dense 20736 x 20736
+    # matrix (4.3e8 entries); the sparse kernel never builds it
+    report = check_hopf(group_algebra(12))
+    assert report.passed and len(report.records) == 6
