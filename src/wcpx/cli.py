@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -21,9 +22,9 @@ from .parser import ParseError, StructureFile, parse
 from .reporting import Report, emit, equality_record, format_record
 from .structures import (check_algebra, check_bialgebra, check_coalgebra,
                          check_hopf)
-from .weak_crossed import (CrossedSystem, build_algebra, build_products,
-                           check_normalized, check_preunit, compat_report,
-                           algebra_checks, cocycle_sides, nabla_of,
+from .weak_crossed import (CrossedSystem, PreconditionError, build_algebra,
+                           build_products, check_normalized, check_preunit,
+                           compat_report, algebra_checks, cocycle_sides, nabla_of,
                            normalize_sigma, product_checks, twisted_sides)
 from .partial_crossed import partial_pipeline, partial_report, theorem_equivalence_suite
 from .unified_product import (check_be, check_extending_datum,
@@ -196,10 +197,15 @@ def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
         if not gates.passed:
             continue
         system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
-        normalized = normalize_sigma(system)
-        report.facts[f"{block_name}.sigma_normalized_changed"] = normalized is not system
-        report.extend(check_normalized(normalized, block_name))
-        product = build_products(normalized)
+        try:
+            normalized = normalize_sigma(system)
+            report.facts[f"{block_name}.sigma_normalized_changed"] = normalized is not system
+            report.extend(check_normalized(normalized, block_name))
+            product = build_products(normalized)
+        except PreconditionError as exc:
+            # every error raised on this path carries its failed record
+            report.add(replace(exc.record, subject=block_name))
+            continue
         sub = Report()
         sub.extend(product_checks(product, block_name))
         sub.facts["nabla_rank"] = product.splitting.mid.total

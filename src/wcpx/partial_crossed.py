@@ -10,36 +10,29 @@ the image of the induced projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from dataclasses import dataclass
 
 from . import _elements as el
 from .fields import FieldSpec
 from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, braiding,
                       equals, tensor)
 from .reporting import Report, equality_record, predicate_record
-from .structures import AlgebraData, HopfData, group_algebra, product_algebra
+from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
+                         product_algebra)
 from .weak_crossed import (CrossedSystem, PreconditionError, WeakCrossedProduct,
                            algebra_checks, build_algebra, build_products,
                            check_normalized, check_preunit, cocycle_sides,
                            product_checks, twisted_sides)
 
-Braid = Callable[[int, int], LinMap]
-
 
 @dataclass(frozen=True)
 class TwistedPartialAction:
-    """Candidate twisted partial action data; validity is what the checks decide.
-
-    ``braid_fn`` swaps a pluggable braiding in for the symmetric one; it
-    takes the two factor dimensions and returns the braiding map.
-    """
+    """Candidate twisted partial action data; validity is what the checks decide."""
 
     hopf: HopfData
     algebra: AlgebraData
     phi: LinMap    # H (x) A -> A
     omega: LinMap  # H (x) H -> A
-    braid_fn: Braid | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         h, a = self.hopf.dim, self.algebra.dim
@@ -54,24 +47,13 @@ class TwistedPartialAction:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def braid(self, m: int, n: int) -> LinMap:
-        if self.braid_fn is not None:
-            return self.braid_fn(m, n)
-        return braiding(self.field, m, n)
-
 
 def _maps(act: TwistedPartialAction):
     h, a = act.hopf, act.algebra
     idh, ida = h.algebra.id_map, a.id_map
-    c_ha = act.braid(h.dim, a.dim)
-    c_hh = act.braid(h.dim, h.dim)
+    c_ha = braiding(act.field, h.dim, a.dim)
+    c_hh = braiding(act.field, h.dim, h.dim)
     return h, a, idh, ida, c_ha, c_hh
-
-
-def comul_square(hopf: HopfData, braid: LinMap) -> LinMap:
-    """The coproduct of the tensor-square coalgebra on H (x) H."""
-    idh = hopf.algebra.id_map
-    return tensor(idh, braid, idh) @ tensor(hopf.comul, hopf.comul)
 
 
 def induced_psi(act: TwistedPartialAction) -> LinMap:
@@ -81,7 +63,7 @@ def induced_psi(act: TwistedPartialAction) -> LinMap:
 
 def induced_sigma(act: TwistedPartialAction) -> LinMap:
     h, _, _, _, _, c_hh = _maps(act)
-    return tensor(act.omega, h.mul) @ comul_square(h, c_hh)
+    return after_tensor_comul(tensor(act.omega, h.mul), h, h)
 
 
 def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
@@ -100,7 +82,7 @@ def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
         tensor(ida, h.comul) @ psi, subject))
     report.add(equality_record(
         "partial.lemma_sigma_comul",
-        tensor(sigma, h.mul) @ comul_square(h, c_hh),
+        after_tensor_comul(tensor(sigma, h.mul), h, h),
         tensor(ida, h.comul) @ sigma, subject))
     report.add(equality_record(
         "partial.lemma_psi_counit", tensor(ida, eps) @ psi, act.phi, subject))
@@ -150,7 +132,7 @@ def _twist_sides(act: TwistedPartialAction, composite: bool):
 def _absorb_sides(act: TwistedPartialAction, composite: bool):
     h, a, idh, ida, _, c_hh = _maps(act)
     if composite:
-        sigma = tensor(act.omega, h.mul) @ comul_square(h, c_hh)
+        sigma = after_tensor_comul(tensor(act.omega, h.mul), h, h)
     else:
         sigma = induced_sigma(act)
     return act.omega, a.mul @ tensor(ida, act.phi) @ tensor(sigma, a.unit)
@@ -183,7 +165,7 @@ def check_partial_action(act: TwistedPartialAction, subject: str = "") -> Report
 def _cocycle_sides(act: TwistedPartialAction, composite: bool):
     h, a, idh, ida, c_ha, c_hh = _maps(act)
     if composite:
-        sigma = tensor(act.omega, h.mul) @ comul_square(h, c_hh)
+        sigma = after_tensor_comul(tensor(act.omega, h.mul), h, h)
         lhs = (a.mul @ tensor(act.phi, act.omega) @ tensor(idh, c_ha, idh)
                @ tensor(h.comul, sigma))
         rhs = a.mul @ tensor(ida, act.omega) @ tensor(sigma, idh)

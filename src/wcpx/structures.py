@@ -165,12 +165,21 @@ def check_coalgebra(c: CoalgebraData, subject: str = "") -> Report:
     return report
 
 
-def tensor_square_mul(mul: LinMap, dim: int, braid: LinMap | None = None) -> LinMap:
+def tensor_square_mul(mul: LinMap, dim: int) -> LinMap:
     """Componentwise product on X (x) X, with the middle factors swapped first."""
-    if braid is not None:
-        idx = identity(mul.field, dim)
-        return tensor(mul, mul) @ tensor(idx, braid, idx)
     return permute_source(tensor(mul, mul), (dim, dim, dim, dim), (0, 2, 1, 3))
+
+
+def after_tensor_comul(f: LinMap, c, d) -> LinMap:
+    """f after the coproduct of the tensor coalgebra C (x) D.
+
+    ``c`` and ``d`` are any structures with ``dim`` and ``comul``.  That
+    coproduct is comul_C (x) comul_D followed by the swap of the two middle
+    factors; the swap is applied to the source indices of f, whose source
+    is (C (x) D) (x) (C (x) D), instead of being built as a map.
+    """
+    return (permute_source(f, (c.dim, d.dim, c.dim, d.dim), (0, 2, 1, 3))
+            @ tensor(c.comul, d.comul))
 
 
 def check_bialgebra(b: BialgebraData, subject: str = "") -> Report:

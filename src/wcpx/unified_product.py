@@ -10,21 +10,19 @@ when that product is associative and unital.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from dataclasses import dataclass
 
 from . import _elements as el
 from .fields import FieldSpec
 from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, braiding,
                       equals, identity, tensor)
 from .reporting import Report, equality_record, predicate_record, skipped_record
-from .structures import BialgebraData, group_algebra, tensor_square_mul
+from .structures import (BialgebraData, after_tensor_comul, group_algebra,
+                         tensor_square_mul)
 from .weak_crossed import (CompatibilityError, CrossedSystem, PreconditionError,
                            WeakCrossedProduct, algebra_checks, build_algebra,
                            build_products, check_normalized, check_preunit,
                            cocycle_sides, nabla_of, product_checks, twisted_sides)
-
-Braid = Callable[[int, int], LinMap]
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class ExtendingDatum:
     phi_h: LinMap                     # H (x) A -> H, the right action candidate
     phi_a: LinMap                     # H (x) A -> A, the left action candidate
     tau: LinMap                       # H (x) H -> A, the pairing
-    braid_fn: Braid | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         a, h = self.bialgebra.dim, self.hobj.dim
@@ -108,24 +105,13 @@ class ExtendingDatum:
     def field(self) -> FieldSpec:
         return self.bialgebra.field
 
-    def braid(self, m: int, n: int) -> LinMap:
-        if self.braid_fn is not None:
-            return self.braid_fn(m, n)
-        return braiding(self.field, m, n)
-
 
 def _maps(d: ExtendingDatum):
     a, h = d.bialgebra, d.hobj
     ida, idh = a.algebra.id_map, h.id_map
-    c_ha = d.braid(h.dim, a.dim)
-    c_hh = d.braid(h.dim, h.dim)
+    c_ha = braiding(d.field, h.dim, a.dim)
+    c_hh = braiding(d.field, h.dim, h.dim)
     return a, h, ida, idh, c_ha, c_hh
-
-
-def comul_mixed(d: ExtendingDatum) -> LinMap:
-    """The tensor coalgebra coproduct on H (x) A."""
-    a, h, ida, idh, c_ha, _ = _maps(d)
-    return tensor(idh, c_ha, ida) @ tensor(h.comul, a.comul)
 
 
 def comul_square_h(d: ExtendingDatum) -> LinMap:
@@ -135,30 +121,31 @@ def comul_square_h(d: ExtendingDatum) -> LinMap:
 
 
 def induced_psi(d: ExtendingDatum) -> LinMap:
-    return tensor(d.phi_a, d.phi_h) @ comul_mixed(d)
+    return after_tensor_comul(tensor(d.phi_a, d.phi_h), d.hobj, d.bialgebra)
 
 
 def induced_sigma(d: ExtendingDatum) -> LinMap:
-    return tensor(d.tau, d.hobj.mul) @ comul_square_h(d)
+    return after_tensor_comul(tensor(d.tau, d.hobj.mul), d.hobj, d.hobj)
 
 
 def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
     """Pre-Hopf axioms, coalgebra-morphism conditions, normalizing conditions."""
     a, h, ida, idh, _, _ = _maps(d)
-    dm = comul_mixed(d)
-    dhh = comul_square_h(d)
     eps_pair = tensor(h.counit, a.counit)
     report = check_pre_hopf(h, subject)
     report.add(equality_record("unified.phi_h_comul",
-                               tensor(d.phi_h, d.phi_h) @ dm, h.comul @ d.phi_h, subject))
+                               after_tensor_comul(tensor(d.phi_h, d.phi_h), h, a),
+                               h.comul @ d.phi_h, subject))
     report.add(equality_record("unified.phi_h_counit",
                                h.counit @ d.phi_h, eps_pair, subject))
     report.add(equality_record("unified.phi_a_comul",
-                               tensor(d.phi_a, d.phi_a) @ dm, a.comul @ d.phi_a, subject))
+                               after_tensor_comul(tensor(d.phi_a, d.phi_a), h, a),
+                               a.comul @ d.phi_a, subject))
     report.add(equality_record("unified.phi_a_counit",
                                a.counit @ d.phi_a, eps_pair, subject))
     report.add(equality_record("unified.tau_comul",
-                               tensor(d.tau, d.tau) @ dhh, a.comul @ d.tau, subject))
+                               after_tensor_comul(tensor(d.tau, d.tau), h, h),
+                               a.comul @ d.tau, subject))
     report.add(equality_record("unified.tau_counit",
                                a.counit @ d.tau, tensor(h.counit, h.counit), subject))
     report.add(equality_record("unified.norm_action_unit",
@@ -178,8 +165,8 @@ def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
 
 def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
     """Multiplicativity of the extending coproduct/counit; right module laws."""
-    a, h, ida, idh, _, c_hh = _maps(d)
-    mul_hh = tensor_square_mul(h.mul, h.dim, c_hh)
+    a, h, ida, idh, _, _ = _maps(d)
+    mul_hh = tensor_square_mul(h.mul, h.dim)
     report = Report()
     report.add(equality_record("unified.h_comul_mult",
                                h.comul @ h.mul, mul_hh @ tensor(h.comul, h.comul), subject))
@@ -197,7 +184,7 @@ def check_be(d: ExtendingDatum, subject: str = "") -> Report:
     """The seven extension conditions, in their morphism form."""
     a, h, ida, idh, _, _ = _maps(d)
     psi, sigma = induced_psi(d), induced_sigma(d)
-    c_ah = d.braid(a.dim, h.dim)
+    c_ah = braiding(d.field, a.dim, h.dim)
     report = Report()
     report.add(equality_record("unified.be1",
                                h.mul @ tensor(h.mul, idh),
@@ -216,10 +203,10 @@ def check_be(d: ExtendingDatum, subject: str = "") -> Report:
                                a.mul @ tensor(ida, d.tau) @ tensor(sigma, idh), subject))
     report.add(equality_record("unified.be6",
                                c_ah @ psi,
-                               tensor(d.phi_h, d.phi_a) @ comul_mixed(d), subject))
+                               after_tensor_comul(tensor(d.phi_h, d.phi_a), h, a), subject))
     report.add(equality_record("unified.be7",
                                c_ah @ sigma,
-                               tensor(h.mul, d.tau) @ comul_square_h(d), subject))
+                               after_tensor_comul(tensor(h.mul, d.tau), h, h), subject))
     return report
 
 
@@ -232,18 +219,17 @@ def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
     """
     a, h, ida, idh, _, _ = _maps(d)
     psi, sigma = induced_psi(d), induced_sigma(d)
-    dm, dhh = comul_mixed(d), comul_square_h(d)
     mult = multiplicativity_report(d)
     report = Report()
     report.add(equality_record("unified.lemma_psi_right_comul",
-                               tensor(psi, d.phi_h) @ dm,
+                               after_tensor_comul(tensor(psi, d.phi_h), h, a),
                                tensor(ida, h.comul) @ psi, subject))
     report.add(equality_record("unified.lemma_psi_left_comul",
-                               tensor(d.phi_a, psi) @ dm,
+                               after_tensor_comul(tensor(d.phi_a, psi), h, a),
                                tensor(a.comul, idh) @ psi, subject))
     report.add(equality_record("unified.lemma_sigma_left_comul",
                                tensor(a.comul, idh) @ sigma,
-                               tensor(d.tau, sigma) @ dhh, subject))
+                               after_tensor_comul(tensor(d.tau, sigma), h, h), subject))
     report.add(equality_record("unified.lemma_psi_counit",
                                tensor(ida, h.counit) @ psi, d.phi_a, subject))
     report.add(equality_record("unified.lemma_psi_counit_left",
@@ -252,7 +238,7 @@ def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
                                tensor(a.counit, idh) @ sigma, h.mul, subject))
     if mult["unified.h_comul_mult"].passed:
         report.add(equality_record("unified.lemma_sigma_right_comul",
-                                   tensor(sigma, h.mul) @ dhh,
+                                   after_tensor_comul(tensor(sigma, h.mul), h, h),
                                    tensor(ida, h.comul) @ sigma, subject))
     else:
         report.add(skipped_record("unified.lemma_sigma_right_comul", subject=subject,

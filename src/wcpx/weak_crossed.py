@@ -10,21 +10,26 @@ to a unital algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 from .linmaps import (LinMap, ShapeMismatchError, Splitting, equals,
                       identity, split_idempotent, tensor)
-from .reporting import Report, equality_record
+from .reporting import CheckRecord, Report, equality_record
 from .structures import AlgebraData
 
 
 class PreconditionError(ValueError):
-    """A construction was attempted although a required check fails."""
+    """A construction was attempted although a required check fails.
 
-    def __init__(self, check_id: str, message: str) -> None:
+    ``record`` is the failed check with its witness, where the raising
+    code compared the two sides.
+    """
+
+    def __init__(self, check_id: str, message: str, record: CheckRecord | None = None) -> None:
         super().__init__(message)
         self.check_id = check_id
+        self.record = record
 
 
 class CompatibilityError(PreconditionError):
@@ -131,13 +136,15 @@ def build_nabla(system: CrossedSystem) -> LinMap:
     a = system.algebra
     ida, idv = a.id_map, identity(a.field, system.vdim)
     nabla = nabla_of(a, system.psi, system.vdim)
-    if not equals(nabla @ nabla, nabla):
-        raise CompatibilityError("wcp.nabla_idempotent",
-                                 "induced projector is not idempotent")
+    square = nabla @ nabla
+    if not equals(square, nabla):
+        raise CompatibilityError("wcp.nabla_idempotent", "induced projector is not idempotent",
+                                 equality_record("wcp.nabla_idempotent", square, nabla))
     left_action = tensor(a.mul, idv)
-    if not equals(nabla @ left_action, left_action @ tensor(ida, nabla)):
-        raise CompatibilityError("wcp.nabla_left_linear",
-                                 "induced projector is not left linear")
+    lhs, rhs = nabla @ left_action, left_action @ tensor(ida, nabla)
+    if not equals(lhs, rhs):
+        raise CompatibilityError("wcp.nabla_left_linear", "induced projector is not left linear",
+                                 equality_record("wcp.nabla_left_linear", lhs, rhs))
     return nabla
 
 
@@ -198,6 +205,8 @@ class WeakCrossedProduct:
     preunit: LinMap | None = None
     unit_times: LinMap | None = None
     embedding: LinMap | None = None  # base algebra -> restricted product
+    # (inputs, records) of the product_checks that build_products evaluated
+    checked: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -208,8 +217,21 @@ class WeakCrossedProduct:
         return self.system.field
 
 
+def _checked_inputs(product: WeakCrossedProduct) -> tuple:
+    return (product.system, product.nabla, product.splitting, product.mu_tensor,
+            product.mu_times)
+
+
 def product_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
-    """Structural facts about a built product: projector, splitting, associativity."""
+    """Structural facts about a built product: projector, splitting, associativity.
+
+    The records build_products evaluated are reused while the product
+    still holds the same system and maps, so each is evaluated once.
+    """
+    if product.checked is not None:
+        inputs, records = product.checked
+        if all(a is b for a, b in zip(inputs, _checked_inputs(product))):
+            return Report([replace(r, subject=subject) for r in records])
     system = product.system
     f = system.field
     nabla, mu = product.nabla, product.mu_tensor
@@ -244,18 +266,21 @@ def build_products(system: CrossedSystem) -> WeakCrossedProduct:
         record = gate(system).records[0]
         if record.failed:
             raise PreconditionError(record.check,
-                                    f"cannot build the crossed product: {record.anchor} fails")
+                                    f"cannot build the crossed product: {record.anchor} fails",
+                                    record)
     nabla = system.nabla
     splitting = split_idempotent(nabla)
     mu_tensor = build_mu_tensor(system)
     mu_times = (splitting.projection @ mu_tensor
                 @ tensor(splitting.injection, splitting.injection))
     product = WeakCrossedProduct(system, nabla, splitting, mu_tensor, mu_times)
-    bad = product_checks(product).failures()
+    checks = product_checks(product)
+    bad = checks.failures()
     if bad:
         raise PreconditionError(bad[0].check,
-                                f"crossed product postcondition failed: {bad[0].anchor}")
-    return product
+                                f"crossed product postcondition failed: {bad[0].anchor}",
+                                bad[0])
+    return replace(product, checked=(_checked_inputs(product), checks.records))
 
 
 def beta_map(system: CrossedSystem, nu: LinMap) -> LinMap:

@@ -147,3 +147,21 @@ def test_huge_characteristic_exits_two(tmp_path):
     result = run("check-structure", huge)
     assert result.exit_code == 2
     assert "too large" in result.output
+
+
+def test_wcp_build_non_idempotent_projector_fails_with_witness(tmp_path):
+    # 1*1 = 1/2 keeps psi compatible but breaks the unit, so the induced
+    # projector is not idempotent; written under tmp_path, not fixtures/
+    text = (FIXTURES / "tensor_wcp.wx").read_text()
+    assert "mul 1 1 : 1=1\n" in text
+    broken = tmp_path / "half_unit.wx"
+    broken.write_text(text.replace("mul 1 1 : 1=1\n", "mul 1 1 : 1=1/2\n"))
+    out = tmp_path / "report.json"
+    result = run("wcp-build", broken, "--report", out)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1, result.output
+    record = json.loads(out.read_text())["checks"][-1]
+    assert (record["check"], record["status"], record["subject"]) == (
+        "wcp.nabla_idempotent", "fail", "tensor")
+    assert record["witness"] == {"col": 1, "row": 1, "source_index": [1, 1],
+                                 "target_index": [1, 1], "left": "1/4", "right": "1/2"}

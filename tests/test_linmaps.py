@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcpx import linmaps
 from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, NotIdempotentError, ObjectShape,
                           ShapeMismatchError, braiding, compose, equals,
                           first_difference, identity, permute_source,
                           rank, shape, split_idempotent, tensor, zero_map)
-from wcpx.structures import check_hopf, group_algebra
+from wcpx.structures import (check_algebra, check_coalgebra, check_hopf,
+                             group_algebra)
 
 F5 = prime_field(5)
 FIELDS = [QQ, F5]
@@ -410,3 +412,138 @@ def test_hopf_axioms_of_twelve_element_group_stay_sparse():
     # matrix (4.3e8 entries); the sparse kernel never builds it
     report = check_hopf(group_algebra(12))
     assert report.passed and len(report.records) == 6
+
+
+# -- Kronecker products kept as factors ----------------------------------------------
+#
+# tensor() keeps its factors and compose() contracts them one at a time, so
+# these compare composites that involve Kronecker products, built in every
+# shape the contraction distinguishes, with the dense reference above.
+
+
+@st.composite
+def splits(draw, n):
+    """An ordered factorisation of n, sometimes with a factor 1 (the base object K)."""
+    parts = []
+    while n > 1:
+        d = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+        parts.append(d)
+        n //= d
+    if not parts or draw(st.booleans()):
+        parts.insert(draw(st.integers(min_value=0, max_value=len(parts))), 1)
+    return parts
+
+
+def ref_identity(field, n):
+    return [[field.one() if r == c else field.zero() for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def factor_st(draw, field, source):
+    """A map with the given source size, with its dense matrix: a plain map,
+    an identity, or a Kronecker product of two plain maps."""
+    kind = draw(st.sampled_from(["plain", "identity", "nested"]))
+    if kind == "identity":
+        return identity(field, source), ref_identity(field, source)
+    if kind == "nested":
+        left = draw(st.sampled_from([d for d in range(1, source + 1) if source % d == 0]))
+        parts = []
+        for s in (left, source // left):
+            t = draw(st.integers(min_value=1, max_value=2))
+            dense = draw(dense_st(field, t, s))
+            parts.append((LinMap(field, shape(s), shape(t), dense), dense))
+        (a, da), (b, db) = parts
+        return tensor(a, b), ref_tensor(da, db)
+    t = draw(st.integers(min_value=1, max_value=3))
+    dense = draw(dense_st(field, t, source))
+    return LinMap(field, shape(source), shape(t), dense), dense
+
+
+@st.composite
+def kron_st(draw, field, source_parts):
+    """tensor() of one factor per source part, its dense matrix and its factors."""
+    drawn = [draw(factor_st(field, s)) for s in source_parts]
+    maps = [m for m, _ in drawn]
+    dense = drawn[0][1]
+    for _, d in drawn[1:]:
+        dense = ref_tensor(dense, d)
+    m = tensor(*maps)
+    if draw(st.booleans()):
+        m.rows  # a Kronecker product whose rows were read before it is composed
+    return m, dense, maps
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_with_kronecker_products_matches_dense_reference(field, data):
+    side = data.draw(st.sampled_from(["right", "left", "both"]))
+    n_src = data.draw(st.integers(min_value=1, max_value=6))
+    if side == "left":
+        n_mid = data.draw(st.integers(min_value=1, max_value=8))
+        g_ref = data.draw(dense_st(field, n_mid, n_src))
+        g = LinMap(field, shape(n_src), shape(n_mid), g_ref)
+        f_parts = data.draw(splits(n_mid))
+    else:
+        g, g_ref, g_maps = data.draw(kron_st(field, data.draw(splits(n_src))))
+        f_parts = data.draw(splits(g.target.total))
+        if side == "both" and data.draw(st.booleans()):
+            f_parts = [m.target.total for m in g_maps]  # matching factor splits
+    if side == "right":
+        f_ref = data.draw(dense_st(field, data.draw(dims), g.target.total))
+        f = LinMap(field, g.target, shape(len(f_ref)), f_ref)
+    else:
+        f, f_ref, _ = data.draw(kron_st(field, f_parts))
+    got = compose(f, g)
+    assert (got.source, got.target) == (g.source, f.target)
+    assert as_lists(got) == ref_compose(field, f_ref, g_ref)
+    assert_canonical(got)
+    # the composite composes on like any other map, as either operand
+    assert as_lists(compose(got, identity(field, g.source))) == as_lists(got)
+    assert as_lists(compose(identity(field, f.target), got)) == as_lists(got)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kronecker_product_kept_as_factors_behaves_like_its_matrix(field, data):
+    parts = data.draw(splits(data.draw(st.integers(min_value=1, max_value=6))))
+    maps = [data.draw(factor_st(field, s)) for s in parts]
+    lazy, fresh = tensor(*(m for m, _ in maps)), tensor(*(m for m, _ in maps))
+    eager = LinMap(field, lazy.source, lazy.target, as_lists(fresh))
+    other = [list(row) for row in as_lists(fresh)]
+    r = data.draw(st.integers(min_value=0, max_value=len(other) - 1))
+    c = data.draw(st.integers(min_value=0, max_value=len(other[0]) - 1))
+    other[r][c] = field.coerce(data.draw(tiny))
+    other = LinMap(field, lazy.source, lazy.target, other)
+    assert first_difference(lazy, other) == first_difference(eager, other)
+    assert lazy == eager and hash(lazy) == hash(eager) and equals(lazy, eager)
+    for name in ("field", "_built", "_factors"):
+        with pytest.raises(AttributeError):
+            setattr(lazy, name, None)
+    with pytest.raises(TypeError):
+        lazy.rows[0][0] = 1
+    assert lazy == eager and as_lists(lazy) == as_lists(eager)
+
+
+def test_hopf_check_never_builds_rows_of_coproduct_or_product_kronecker(monkeypatch):
+    # counts materialisations instead of timing them: the d^4-row rows of
+    # comul (x) comul and the rows of mul (x) id are never built, so the
+    # bialgebra axiom costs d^7 operations, not d^8
+    built = []
+    kron_rows = linmaps._kron_rows
+
+    def counting(factors, p):
+        built.append(factors)
+        return kron_rows(factors, p)
+
+    monkeypatch.setattr(linmaps, "_kron_rows", counting)
+    h = group_algebra(7)
+    assert check_algebra(h.algebra).passed
+    assert check_coalgebra(h.coalgebra).passed
+    assert check_hopf(h).passed
+    assert built, "materialisations are counted"
+    for factors in built:
+        assert not any(m is h.comul for m in factors), factors
+        assert not (any(m is h.mul for m in factors)
+                    and any(m == identity(m.field, m.source) for m in factors)), factors

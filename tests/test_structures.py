@@ -3,8 +3,9 @@ from dataclasses import replace
 import pytest
 
 from wcpx.fields import QQ, prime_field
-from wcpx.linmaps import set_column, tensor
-from wcpx.structures import (BialgebraData,
+from wcpx.linmaps import (LinMap, braiding, equals, identity, set_column, shape,
+                          tensor)
+from wcpx.structures import (BialgebraData, after_tensor_comul,
                              builtin, check_algebra, check_bialgebra,
                              check_coalgebra, check_hopf, dual_group_algebra,
                              group_algebra, matrix_algebra, product_algebra,
@@ -121,3 +122,14 @@ def test_builtin_errors():
         builtin("group_algebra")
     with pytest.raises(ValueError):
         sweedler_h4(prime_field(2))
+
+
+@pytest.mark.parametrize("c,d", [(group_algebra(2), dual_group_algebra(3)),
+                                 (sweedler_h4(), group_algebra(2))])
+def test_after_tensor_comul_is_composite_with_middle_swap(c, d):
+    m, n = c.dim, d.dim
+    f = LinMap.from_dict(QQ, shape(m, n, m, n), shape(2),
+                         {(r, col): (3 * r + col) % 5 - 2
+                          for r in range(2) for col in range(m * n * m * n)})
+    swap = tensor(identity(QQ, m), braiding(QQ, m, n), identity(QQ, n))
+    assert equals(after_tensor_comul(f, c, d), f @ swap @ tensor(c.comul, d.comul))

@@ -213,3 +213,17 @@ def test_known_unital_product_arises_from_crossed_data(field):
     product = wc.build_products(system)
     assert equals(product.mu_tensor, m)
     assert wc.check_preunit(product, tensor(a.unit, v.unit)).passed
+
+
+def test_product_checks_are_evaluated_once_per_built_product(field, monkeypatch):
+    system, _, _ = tensor_system(field)
+    product = wc.build_products(system)
+    fresh = wc.product_checks(replace(product, checked=None), "tensor")
+    calls = []
+    monkeypatch.setattr(wc, "equality_record", lambda *args, **kw: calls.append(args))
+    reused = wc.product_checks(product, "tensor")
+    assert not calls and reused.records == fresh.records and reused.passed
+    # a product holding another map is evaluated again
+    monkeypatch.undo()
+    changed = replace(product, nabla=product.nabla.scale(2))
+    assert wc.product_checks(changed)["wcp.nabla_idempotent"].failed
