@@ -155,7 +155,12 @@ def _crossed_check(decl, subject: str) -> Report:
     report.add(equality_record("wcp.sigma_normalized", nabla @ decl.sigma, decl.sigma, subject))
     if decl.preunit is not None and report.passed:
         system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
-        report.extend(check_preunit(build_products(system), decl.preunit, subject))
+        try:
+            product = build_products(system)
+        except PreconditionError as exc:
+            report.add(replace(exc.record, subject=subject))
+        else:
+            report.extend(check_preunit(product, decl.preunit, subject))
     return report
 
 

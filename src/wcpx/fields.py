@@ -129,12 +129,15 @@ class FieldSpec:
         if self.kind == "rationals":
             if isinstance(value, Fp):
                 raise FieldError("prime-field residue used in a rational computation")
-            return Fraction(value)
+            # a Fraction is immutable and already in lowest terms
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, Fp):
             if value.p != self.characteristic:
                 raise FieldError(f"residue mod {value.p} used in F{self.characteristic}")
             return value
         if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return Fp(value.numerator, self.characteristic)
             num = Fp(value.numerator, self.characteristic)
             den = Fp(value.denominator, self.characteristic)
             return num / den

@@ -14,9 +14,11 @@ are first read, then caches them.  ``compose`` contracts a Kronecker
 operand one factor at a time, skipping identity factors, and composes two
 Kronecker products factor by factor wherever their splits line up
 ((f (x) g)(h (x) k) = fh (x) gk); only where two splits do not line up
-does it build the rows of one side.  So ``mul @ tensor(comul, comul)`` on
-a d-dimensional space costs about d^7 operations, not the d^8 of a
-composite with the d^4-row Kronecker product.
+does it build the rows of one side.  So the right side of the bialgebra
+axiom on a d-dimensional space, evaluated one index at a time through the
+Galois map (``structures.product_of_coproducts``), costs about 2 d^6
+operations, not the d^8 of a composite with the d^4-row Kronecker product
+``tensor(comul, comul)``.
 
 Scalar boundary: inside the rows, an F_p entry is its residue as a plain
 int in 1..p-1, and a rational entry is an int when it is integral and a
@@ -448,19 +450,13 @@ def _kron_rows(factors: tuple[LinMap, ...], p: int) -> tuple[Row, ...]:
     rows = factors[0]._rows
     for g in factors[1:]:
         width, g_rows = g.source.total, g._rows
-        out = []
-        for frow in rows:
-            for grow in g_rows:
-                row: Row = {}
-                for j, fv in frow.items():
-                    base = j * width
-                    # a product of two nonzero field elements is nonzero
-                    if p:
-                        row.update({base + c: fv * gv % p for c, gv in grow.items()})
-                    else:
-                        row.update({base + c: fv * gv for c, gv in grow.items()})
-                out.append(row)
-        rows = out
+        # a product of two nonzero field elements is nonzero
+        if p:
+            rows = [{j * width + c: fv * gv % p for j, fv in frow.items() for c, gv in grow.items()}
+                    for frow in rows for grow in g_rows]
+        else:
+            rows = [{j * width + c: fv * gv for j, fv in frow.items() for c, gv in grow.items()}
+                    for frow in rows for grow in g_rows]
     return tuple(rows)
 
 

@@ -37,6 +37,7 @@ ANCHORS = {
     "wcp.compat": "twisting map compatible with the product",
     "wcp.nabla_idempotent": "induced projector is idempotent",
     "wcp.nabla_left_linear": "induced projector is left linear",
+    "wcp.nabla_nonzero": "induced projector is nonzero",
     "wcp.twisted": "twisted condition",
     "wcp.cocycle": "cocycle condition",
     "wcp.sigma_normalized": "cocycle map fixed by the projector",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .fields import QQ, FieldSpec
 from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, UNIT_SHAPE,
-                      identity, permute_source, tensor)
+                      braiding, identity, permute_source, tensor)
 from .reporting import Report, equality_record
 
 
@@ -165,9 +165,31 @@ def check_coalgebra(c: CoalgebraData, subject: str = "") -> Report:
     return report
 
 
-def tensor_square_mul(mul: LinMap, dim: int) -> LinMap:
-    """Componentwise product on X (x) X, with the middle factors swapped first."""
-    return permute_source(tensor(mul, mul), (dim, dim, dim, dim), (0, 2, 1, 3))
+def product_of_coproducts(mul: LinMap, comul: LinMap, dim: int) -> LinMap:
+    """x (x) y -> Delta(x) Delta(y) = x_1 y_1 (x) x_2 y_2, a map H (x) H -> H (x) H.
+
+    This is (mul (x) mul)(id (x) c (x) id)(comul (x) comul), the right side
+    of "the coproduct is multiplicative", for any linear mul and comul (c is
+    the swap).  It is evaluated as (id (x) mul)(G (x) id)(id (x) comul)
+    through the Galois map G(x (x) y) = x_1 y (x) x_2 = c (id (x) mul)((c comul) (x) id),
+    a rearrangement of the same string diagram that contracts one index at
+    a time: about 2 d^6 operations on a dense d-dimensional basis, against
+    d^7 for the composite with comul (x) comul.  Where two Kronecker
+    products meet without a common split, compose is handed the rows of
+    (c comul) (x) id and of G (x) id (d^3 rows each), so the rows of
+    id (x) mul and of id (x) comul are never built.
+    """
+    field = mul.field
+    idh = identity(field, dim)
+    swap = braiding(field, dim, dim)
+    id_mul = tensor(idh, mul)
+    galois = swap @ (id_mul @ _rows_of(tensor(swap @ comul, idh)))
+    return id_mul @ (_rows_of(tensor(galois, idh)) @ tensor(idh, comul))
+
+
+def _rows_of(m: LinMap) -> LinMap:
+    """m as a map that holds its rows, so that compose contracts the other side."""
+    return m.reshaped(m.source, m.target)
 
 
 def after_tensor_comul(f: LinMap, c, d) -> LinMap:
@@ -184,11 +206,10 @@ def after_tensor_comul(f: LinMap, c, d) -> LinMap:
 
 def check_bialgebra(b: BialgebraData, subject: str = "") -> Report:
     """Compatibility: counit and coproduct are morphisms of algebras."""
-    mul_hh = tensor_square_mul(b.mul, b.dim)
     report = Report()
     report.add(equality_record("bialgebra.comul_mult",
                                b.comul @ b.mul,
-                               mul_hh @ tensor(b.comul, b.comul), subject))
+                               product_of_coproducts(b.mul, b.comul, b.dim), subject))
     report.add(equality_record("bialgebra.counit_mult",
                                b.counit @ b.mul,
                                tensor(b.counit, b.counit), subject))

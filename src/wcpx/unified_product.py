@@ -18,7 +18,7 @@ from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, braiding,
                       equals, identity, tensor)
 from .reporting import Report, equality_record, predicate_record, skipped_record
 from .structures import (BialgebraData, after_tensor_comul, group_algebra,
-                         tensor_square_mul)
+                         product_of_coproducts)
 from .weak_crossed import (CompatibilityError, CrossedSystem, PreconditionError,
                            WeakCrossedProduct, algebra_checks, build_algebra,
                            build_products, check_normalized, check_preunit,
@@ -166,10 +166,10 @@ def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
 def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
     """Multiplicativity of the extending coproduct/counit; right module laws."""
     a, h, ida, idh, _, _ = _maps(d)
-    mul_hh = tensor_square_mul(h.mul, h.dim)
     report = Report()
     report.add(equality_record("unified.h_comul_mult",
-                               h.comul @ h.mul, mul_hh @ tensor(h.comul, h.comul), subject))
+                               h.comul @ h.mul, product_of_coproducts(h.mul, h.comul, h.dim),
+                               subject))
     report.add(equality_record("unified.h_counit_mult",
                                h.counit @ h.mul, tensor(h.counit, h.counit), subject))
     report.add(equality_record("unified.module_unit",

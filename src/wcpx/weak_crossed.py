@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .linmaps import (LinMap, ShapeMismatchError, Splitting, equals,
                       identity, split_idempotent, tensor)
-from .reporting import CheckRecord, Report, equality_record
+from .reporting import CheckRecord, Report, equality_record, predicate_record
 from .structures import AlgebraData
 
 
@@ -269,6 +269,11 @@ def build_products(system: CrossedSystem) -> WeakCrossedProduct:
                                     f"cannot build the crossed product: {record.anchor} fails",
                                     record)
     nabla = system.nabla
+    if nabla.is_zero():
+        record = predicate_record("wcp.nabla_nonzero", False,
+                                  note="the image of the projector is the zero space")
+        raise PreconditionError(record.check,
+                                "cannot build the crossed product: the projector is zero", record)
     splitting = split_idempotent(nabla)
     mu_tensor = build_mu_tensor(system)
     mu_times = (splitting.projection @ mu_tensor

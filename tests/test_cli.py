@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -165,3 +166,23 @@ def test_wcp_build_non_idempotent_projector_fails_with_witness(tmp_path):
         "wcp.nabla_idempotent", "fail", "tensor")
     assert record["witness"] == {"col": 1, "row": 1, "source_index": [1, 1],
                                  "target_index": [1, 1], "left": "1/4", "right": "1/2"}
+
+
+@pytest.mark.parametrize("command", ["wcp-build", "wcp-check"])
+def test_zero_projector_fails_with_named_record(tmp_path, command):
+    # with the twisting and cocycle maps emptied every gate holds but the
+    # projector is zero, so there is no image to build the product on
+    text = (FIXTURES / "tensor_wcp.wx").read_text()
+    emptied = re.sub(r"(morphism (?:tw|coc) : .*\n)(?:e .*\n)+", r"\1", text)
+    assert emptied.count("\ne ") == 1  # only the preunit keeps its entry
+    zero = tmp_path / "zero_projector.wx"
+    zero.write_text(emptied)
+    out = tmp_path / "report.json"
+    result = run(command, zero, "--report", out)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1, result.output
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["status"] for c in checks[:-1]] == ["pass"] * (len(checks) - 1)
+    assert checks[-1] == {"anchor": "induced projector is nonzero", "check": "wcp.nabla_nonzero",
+                          "note": "the image of the projector is the zero space",
+                          "status": "fail", "subject": "tensor"}

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wcpx.fields import (MAX_CHARACTERISTIC, FieldError, Fp, QQ, _is_prime,
                          parse_field, prime_field)
@@ -74,3 +76,38 @@ def test_characteristic_beyond_exact_primality_range_is_refused():
     # refused from its length, before the digits are turned into an int
     with pytest.raises(FieldError, match="too large"):
         parse_field("F" + "7" * 5000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@given(n=st.integers(min_value=-10**6, max_value=10**6),
+       d=st.integers(min_value=1, max_value=10**6))
+def test_coerce_fraction_matches_division_in_prime_field(p, n, d):
+    f = prime_field(p)
+    assert f.coerce(Fraction(n)) == Fp(n, p) / Fp(1, p)
+    value = Fraction(n, d)
+    if value.denominator % p == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.coerce(value)
+        return
+    expected = Fp(value.numerator, p) / Fp(value.denominator, p)
+    assert f.coerce(value) == expected
+    assert f.parse(f"{n}/{d}") == expected
+
+
+@given(n=st.integers(min_value=-10**6, max_value=10**6),
+       d=st.integers(min_value=1, max_value=10**6))
+def test_coerce_returns_rational_unchanged(n, d):
+    value = Fraction(n, d)
+    assert QQ.coerce(value) is value
+    assert QQ.parse(f"{n}/{d}") == value
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_scalar_errors_in_prime_field(p):
+    f = prime_field(p)
+    with pytest.raises(FieldError) as err:
+        f.parse("7/0")
+    assert str(err.value) == "cannot parse scalar '7/0': Fraction(7, 0)"
+    with pytest.raises(FieldError) as err:
+        f.parse(f"1/{p}")
+    assert str(err.value) == f"scalar '1/{p}' has no meaning in F{p}: 0 has no inverse in F{p}"

@@ -527,9 +527,9 @@ def test_kronecker_product_kept_as_factors_behaves_like_its_matrix(field, data):
 
 
 def test_hopf_check_never_builds_rows_of_coproduct_or_product_kronecker(monkeypatch):
-    # counts materialisations instead of timing them: the d^4-row rows of
-    # comul (x) comul and the rows of mul (x) id are never built, so the
-    # bialgebra axiom costs d^7 operations, not d^8
+    # counts materialisations instead of timing them: the rows of a Kronecker
+    # product with comul as a factor and of mul next to an identity are never
+    # built, so the bialgebra axiom costs about 2 d^6 operations, not d^8
     built = []
     kron_rows = linmaps._kron_rows
 
@@ -547,3 +547,22 @@ def test_hopf_check_never_builds_rows_of_coproduct_or_product_kronecker(monkeypa
         assert not any(m is h.comul for m in factors), factors
         assert not (any(m is h.mul for m in factors)
                     and any(m == identity(m.field, m.source) for m in factors)), factors
+
+
+def test_hopf_check_of_c16_builds_no_kronecker_rows_beyond_d_cubed(monkeypatch):
+    # the bialgebra axiom is evaluated through the Galois map, whose widest
+    # Kronecker rows are those of G (x) id: d^3 rows, one entry each for a
+    # group algebra; reading tensor(mul, mul) would build d^4 entries
+    built = []
+    kron_rows = linmaps._kron_rows
+
+    def counting(factors, p):
+        rows = kron_rows(factors, p)
+        built.append((len(rows), sum(len(row) for row in rows)))
+        return rows
+
+    monkeypatch.setattr(linmaps, "_kron_rows", counting)
+    assert check_hopf(group_algebra(16)).passed
+    assert built, "materialisations are counted"
+    for n_rows, n_entries in built:
+        assert n_rows <= 16 ** 3 and n_entries <= 16 ** 3, built

@@ -1,6 +1,9 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, braiding, equals, identity, set_column, shape,
@@ -9,7 +12,7 @@ from wcpx.structures import (BialgebraData, after_tensor_comul,
                              builtin, check_algebra, check_bialgebra,
                              check_coalgebra, check_hopf, dual_group_algebra,
                              group_algebra, matrix_algebra, product_algebra,
-                             sweedler_h4, tensor_square_mul)
+                             product_of_coproducts, sweedler_h4)
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -64,7 +67,8 @@ def test_primitive_generator_breaks_bialgebra_at_g_g():
     assert record.witness.source_index == (1, 1)
     # re-evaluating both sides at the witness reproduces the inequality
     lhs = broken.comul @ broken.mul
-    rhs = tensor_square_mul(broken.mul, 2) @ tensor(comul, comul)
+    middle_swap = tensor(identity(QQ, 2), braiding(QQ, 2, 2), identity(QQ, 2))
+    rhs = tensor(broken.mul, broken.mul) @ middle_swap @ tensor(comul, comul)
     col = lhs.source.flatten(record.witness.source_index)
     row = lhs.target.flatten(record.witness.target_index)
     assert str(lhs.entries[row][col]) == record.witness.left
@@ -133,3 +137,36 @@ def test_after_tensor_comul_is_composite_with_middle_swap(c, d):
                           for r in range(2) for col in range(m * n * m * n)})
     swap = tensor(identity(QQ, m), braiding(QQ, m, n), identity(QQ, n))
     assert equals(after_tensor_comul(f, c, d), f @ swap @ tensor(c.comul, d.comul))
+
+
+REF_FIELDS = [QQ, prime_field(2), prime_field(3)]
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=["Q", "F2", "F3"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_of_coproducts_matches_swap_composite(field, data):
+    # arbitrary linear mul and comul, not a bialgebra: the Galois-map
+    # evaluation is a rearrangement that must hold for any of them
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=-2, max_value=2).map(field.coerce)
+    mul_rows = data.draw(st.lists(st.lists(entry, min_size=d * d, max_size=d * d),
+                                  min_size=d, max_size=d))
+    comul_rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                    min_size=d * d, max_size=d * d))
+    mul = LinMap(field, shape(d, d), shape(d), mul_rows)
+    comul = LinMap(field, shape(d), shape(d, d), comul_rows)
+    got = product_of_coproducts(mul, comul, d)
+    middle_swap = tensor(identity(field, d), braiding(field, d, d), identity(field, d))
+    assert equals(got, tensor(mul, mul) @ middle_swap @ tensor(comul, comul))
+    # the same map as a sum over basis indices, with the field's own + and *:
+    # x (x) y -> sum of mul(a, c) (x) mul(b, e) over comul(x) = a (x) b, comul(y) = c (x) e
+    n = range(d)
+    for x, y in product(n, n):
+        expected = [[field.zero()] * d for _ in n]
+        for a, b, c, e in product(n, repeat=4):
+            coeff = comul_rows[a * d + b][x] * comul_rows[c * d + e][y]
+            if coeff:
+                for p, q in product(n, n):
+                    expected[p][q] += coeff * mul_rows[p][a * d + c] * mul_rows[q][b * d + e]
+        assert [[got.at(p * d + q, x * d + y) for q in n] for p in n] == expected
