@@ -21,10 +21,6 @@ def unit_vec(unit: LinMap) -> Vec:
     return unit.column_entries(0)
 
 
-def scale_vec(c, vec: Vec) -> Vec:
-    return {k: c * v for k, v in vec.items() if c * v}
-
-
 def add_into(acc: Vec, vec: Vec, factor=None) -> None:
     for k, v in vec.items():
         w = v if factor is None else factor * v

@@ -19,13 +19,14 @@ import click
 from . import __version__
 from .fields import FieldError, parse_field
 from .parser import ParseError, StructureFile, parse
-from .reporting import Report, emit, equality_record, format_record
+from .reporting import Report, emit, format_record
 from .structures import (check_algebra, check_bialgebra, check_coalgebra,
                          check_hopf)
-from .weak_crossed import (CrossedSystem, PreconditionError, build_algebra,
-                           build_products, check_normalized, check_preunit,
-                           compat_report, algebra_checks, cocycle_sides, nabla_of,
-                           normalize_sigma, product_checks, twisted_sides)
+from .weak_crossed import (CrossedSystem, PreconditionError, algebra_checks,
+                           build_algebra, build_products, check_cocycle,
+                           check_compat, check_nabla, check_normalized,
+                           check_preunit, check_twisted, normalize_sigma,
+                           product_checks)
 from .partial_crossed import partial_pipeline, partial_report, theorem_equivalence_suite
 from .unified_product import (check_be, check_extending_datum,
                               check_nabla_identity, check_pre_hopf,
@@ -141,27 +142,13 @@ def check_structure(path: str, report_path: str | None, name: str | None) -> Non
     _finish(report, raw, report_path)
 
 
-def _crossed_check(decl, subject: str) -> Report:
+def _gates(decl, subject: str) -> tuple[CrossedSystem, Report]:
+    """The declared system and its compatibility, twisted and cocycle records."""
+    system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
     report = Report()
-    report.extend(compat_report(decl.algebra, decl.psi, decl.vdim, subject))
-    report.add(equality_record("wcp.twisted",
-                               *twisted_sides(decl.algebra, decl.psi, decl.sigma, decl.vdim),
-                               subject=subject))
-    report.add(equality_record("wcp.cocycle",
-                               *cocycle_sides(decl.algebra, decl.psi, decl.sigma, decl.vdim),
-                               subject=subject))
-    nabla = nabla_of(decl.algebra, decl.psi, decl.vdim)
-    report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla, subject))
-    report.add(equality_record("wcp.sigma_normalized", nabla @ decl.sigma, decl.sigma, subject))
-    if decl.preunit is not None and report.passed:
-        system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
-        try:
-            product = build_products(system)
-        except PreconditionError as exc:
-            report.add(replace(exc.record, subject=subject))
-        else:
-            report.extend(check_preunit(product, decl.preunit, subject))
-    return report
+    for check in (check_compat, check_twisted, check_cocycle):
+        report.extend(check(system, subject))
+    return system, report
 
 
 @main.command("wcp-check")
@@ -174,7 +161,17 @@ def wcp_check(path: str, report_path: str | None, name: str | None) -> None:
     click.echo(f"field {sf.field}")
     report = Report()
     for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        report.extend(_crossed_check(decl, block_name))
+        system, sub = _gates(decl, block_name)
+        sub.add(check_nabla(system, system.nabla, block_name)["wcp.nabla_idempotent"])
+        sub.extend(check_normalized(system, block_name))
+        if decl.preunit is not None and sub.passed:
+            try:
+                product = build_products(system)
+            except PreconditionError as exc:
+                sub.add(replace(exc.record, subject=block_name))
+            else:
+                sub.extend(check_preunit(product, decl.preunit, block_name))
+        report.extend(sub)
     _finish(report, raw, report_path)
 
 
@@ -188,20 +185,10 @@ def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
     click.echo(f"field {sf.field}")
     report = Report()
     for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        gates = Report()
-        gates.extend(compat_report(decl.algebra, decl.psi, decl.vdim, block_name))
-        gates.add(equality_record(
-            "wcp.twisted",
-            *twisted_sides(decl.algebra, decl.psi, decl.sigma, decl.vdim),
-            subject=block_name))
-        gates.add(equality_record(
-            "wcp.cocycle",
-            *cocycle_sides(decl.algebra, decl.psi, decl.sigma, decl.vdim),
-            subject=block_name))
+        system, gates = _gates(decl, block_name)
         report.records.extend(gates.records)
         if not gates.passed:
             continue
-        system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
         try:
             normalized = normalize_sigma(system)
             report.facts[f"{block_name}.sigma_normalized_changed"] = normalized is not system

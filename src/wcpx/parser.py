@@ -166,27 +166,28 @@ class _Parser:
             self.morphism = None
 
     def finish_block(self, b: _Block, out: StructureFile) -> None:
-        f = out.field
-        d = b.dim
+        """Build the maps of the declared kind only: an algebra has no comul."""
+        f, d = out.field, b.dim
         sh, sq = ObjectShape((d,)), ObjectShape((d, d))
-        unit = LinMap.from_dict(f, UNIT_SHAPE, sh, b.unit)
-        mul = LinMap.from_dict(f, sq, sh, b.mul)
-        counit = LinMap.from_dict(f, sh, UNIT_SHAPE, b.counit)
-        comul = LinMap.from_dict(f, sh, sq, b.comul)
+        algebra = coalgebra = None
+        if b.kind != "coalgebra":
+            algebra = AlgebraData(f, d, LinMap.from_dict(f, UNIT_SHAPE, sh, b.unit),
+                                  LinMap.from_dict(f, sq, sh, b.mul))
+        if b.kind != "algebra":
+            coalgebra = CoalgebraData(f, d, LinMap.from_dict(f, sh, UNIT_SHAPE, b.counit),
+                                      LinMap.from_dict(f, sh, sq, b.comul))
         if b.kind == "algebra":
-            out.algebras[b.name] = AlgebraData(f, d, unit, mul)
+            out.algebras[b.name] = algebra
         elif b.kind == "coalgebra":
-            out.coalgebras[b.name] = CoalgebraData(f, d, counit, comul)
+            out.coalgebras[b.name] = coalgebra
         elif b.kind == "bialgebra":
-            out.bialgebras[b.name] = BialgebraData(AlgebraData(f, d, unit, mul),
-                                                   CoalgebraData(f, d, counit, comul))
+            out.bialgebras[b.name] = BialgebraData(algebra, coalgebra)
         elif b.kind == "prehopf":
-            out.prehopf_objects[b.name] = PreHopfObject(f, d, unit, mul, counit, comul)
+            out.prehopf_objects[b.name] = PreHopfObject(f, d, algebra.unit, algebra.mul,
+                                                        coalgebra.counit, coalgebra.comul)
         elif b.kind == "hopf":
             antipode = LinMap.from_dict(f, sh, sh, b.antipode)
-            out.hopf_algebras[b.name] = HopfData(
-                BialgebraData(AlgebraData(f, d, unit, mul),
-                              CoalgebraData(f, d, counit, comul)), antipode)
+            out.hopf_algebras[b.name] = HopfData(BialgebraData(algebra, coalgebra), antipode)
         out.order.append((b.kind, b.name))
 
     # -- declarations -----------------------------------------------------------

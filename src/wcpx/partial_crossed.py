@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 from . import _elements as el
 from .fields import FieldSpec
-from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, braiding,
-                      equals, tensor)
-from .reporting import Report, equality_record, predicate_record
+from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, tensor
+from .reporting import Report, equality_record, memoised, predicate_record
 from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
                          product_algebra)
 from .weak_crossed import (CrossedSystem, PreconditionError, WeakCrossedProduct,
-                           algebra_checks, build_algebra, build_products,
-                           check_normalized, check_preunit, cocycle_sides,
-                           product_checks, twisted_sides)
+                           algebra_checks, build_algebra, build_nabla, build_products,
+                           check_cocycle, check_normalized, check_preunit,
+                           check_twisted, product_checks)
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,7 @@ def induced_sigma(act: TwistedPartialAction) -> LinMap:
     return after_tensor_comul(tensor(act.omega, h.mul), h, h)
 
 
+@memoised
 def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
     """Identities tying the induced maps back to (phi, omega).
 
@@ -94,16 +94,18 @@ def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
 def induce_psi_sigma(act: TwistedPartialAction) -> CrossedSystem:
     """Build the crossed system induced by (phi, omega).
 
-    The recovery identities are re-verified first; the system constructor
-    then enforces the compatibility condition, which holds exactly when
-    the action is partially multiplicative.
+    The recovery identities are verified first; then the system is gated
+    on the compatibility condition, which holds exactly when the action is
+    partially multiplicative, and on the projector it induces.
     """
     bad = lemma_report(act).failures()
     if bad:
         raise PreconditionError(
             bad[0].check,
             f"recovery identity {bad[0].anchor!r} fails: Hopf data is corrupted")
-    return CrossedSystem(act.algebra, act.hopf.dim, induced_psi(act), induced_sigma(act))
+    system = CrossedSystem(act.algebra, act.hopf.dim, induced_psi(act), induced_sigma(act))
+    build_nabla(system)
+    return system
 
 
 def _action_mult_sides(act: TwistedPartialAction, composite: bool):
@@ -308,15 +310,11 @@ def theorem_equivalence_suite(act: TwistedPartialAction, subject: str = "") -> R
     condition; both directions are asserted as one status comparison per
     theorem, on valid and on broken inputs alike.
     """
-    action_report = check_partial_action(act)
-    cocycle_report = check_units_and_cocycle(act)
-    psi, sigma = induced_psi(act), induced_sigma(act)
-    t_lhs, t_rhs = twisted_sides(act.algebra, psi, sigma, act.hopf.dim)
-    c_lhs, c_rhs = cocycle_sides(act.algebra, psi, sigma, act.hopf.dim)
-    eq_twisted = equals(t_lhs, t_rhs)
-    eq_cocycle = equals(c_lhs, c_rhs)
-    partial_twist = action_report["partial.twist"].passed
-    partial_cocycle = cocycle_report["partial.cocycle"].passed
+    partial_twist = equality_record("partial.twist", *_twist_sides(act, False)).passed
+    partial_cocycle = equality_record("partial.cocycle", *_cocycle_sides(act, False)).passed
+    system = CrossedSystem(act.algebra, act.hopf.dim, induced_psi(act), induced_sigma(act))
+    eq_twisted = check_twisted(system).passed
+    eq_cocycle = check_cocycle(system).passed
     report = Report()
     report.add(predicate_record(
         "partial.thm_twisted_equiv", partial_twist == eq_twisted, subject=subject,

@@ -8,8 +8,9 @@ always produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .linmaps import LinMap, first_difference
 
@@ -218,6 +219,32 @@ class Report:
         if out.get(SKIPPED) == 0:
             out.pop(SKIPPED, None)
         return out
+
+
+def memoised(check):
+    """Evaluate a report function once per input.
+
+    ``check(obj, *args, subject="")`` checks a frozen dataclass ``obj``.
+    Its records, evaluated without a subject, are kept on ``obj`` itself,
+    keyed by the function and the identity of each other argument; every
+    call returns a fresh Report carrying its own subject.  A new object,
+    such as one made by ``dataclasses.replace``, starts with no records.
+    Two threads that race on one object at worst evaluate a pure check twice.
+    """
+    others = check.__code__.co_argcount - 2  # the arguments between obj and subject
+
+    @functools.wraps(check)
+    def wrapper(obj, *args, subject: str = "") -> Report:
+        if len(args) > others:
+            args, (subject,) = args[:others], args[others:]
+        memo = obj.__dict__.setdefault("_records", {})
+        key = (check, *map(id, args))
+        if key not in memo:
+            # args stay referenced next to their records, so no id is reused
+            memo[key] = (args, check(obj, *args).records)
+        return Report([replace(r, subject=subject) for r in memo[key][1]])
+
+    return wrapper
 
 
 def equality_record(check_id: str, lhs: LinMap, rhs: LinMap, subject: str = "") -> CheckRecord:

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 from . import _elements as el
 from .fields import FieldSpec
-from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, braiding,
-                      equals, identity, tensor)
-from .reporting import Report, equality_record, predicate_record, skipped_record
+from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, identity, tensor
+from .reporting import Report, equality_record, memoised, predicate_record, skipped_record
 from .structures import (BialgebraData, after_tensor_comul, group_algebra,
                          product_of_coproducts)
 from .weak_crossed import (CompatibilityError, CrossedSystem, PreconditionError,
                            WeakCrossedProduct, algebra_checks, build_algebra,
-                           build_products, check_normalized, check_preunit,
-                           cocycle_sides, nabla_of, product_checks, twisted_sides)
+                           build_products, check_cocycle, check_normalized,
+                           check_preunit, check_twisted, nabla_of, product_checks,
+                           require_compat)
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
     return report
 
 
+@memoised
 def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
     """Multiplicativity of the extending coproduct/counit; right module laws."""
     a, h, ida, idh, _, _ = _maps(d)
@@ -180,6 +181,7 @@ def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
     return report
 
 
+@memoised
 def check_be(d: ExtendingDatum, subject: str = "") -> Report:
     """The seven extension conditions, in their morphism form."""
     a, h, ida, idh, _, _ = _maps(d)
@@ -210,6 +212,7 @@ def check_be(d: ExtendingDatum, subject: str = "") -> Report:
     return report
 
 
+@memoised
 def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
     """Recovery identities for the induced maps.
 
@@ -255,24 +258,25 @@ def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
 def induce(d: ExtendingDatum) -> CrossedSystem:
     """Build the induced crossed system.
 
-    The ungated recovery identities are re-verified first.  Failure of
-    the compatibility condition is reported as missing hypotheses (the
-    left action is not partially multiplicative or the right action is
-    not a module action), not as corruption.
+    The ungated recovery identities are verified first.  Failure of the
+    compatibility condition is reported as missing hypotheses (the left
+    action is not partially multiplicative or the right action is not a
+    module action), not as corruption.
     """
     for record in lemma_identities_report(d).records:
         if record.failed:
             raise PreconditionError(
                 record.check,
                 f"recovery identity {record.anchor!r} fails: extending datum is corrupted")
+    system = CrossedSystem(d.bialgebra.algebra, d.hobj.dim, induced_psi(d), induced_sigma(d))
     try:
-        return CrossedSystem(d.bialgebra.algebra, d.hobj.dim,
-                             induced_psi(d), induced_sigma(d))
+        require_compat(system)
     except CompatibilityError as exc:
         raise PreconditionError(
             "unified.be2",
             "compatibility fails for the induced twisting map; the datum lacks "
             "the partial multiplicativity (BE2) or right module hypotheses") from exc
+    return system
 
 
 def check_nabla_identity(d: ExtendingDatum, subject: str = "") -> Report:
@@ -414,10 +418,9 @@ def theorem_equivalence_suite_unified(d: ExtendingDatum, subject: str = "") -> R
     """
     be = check_be(d)
     mult = multiplicativity_report(d)
-    algebra = d.bialgebra.algebra
-    psi, sigma = induced_psi(d), induced_sigma(d)
-    eq_twisted = equals(*twisted_sides(algebra, psi, sigma, d.hobj.dim))
-    eq_cocycle = equals(*cocycle_sides(algebra, psi, sigma, d.hobj.dim))
+    system = CrossedSystem(d.bialgebra.algebra, d.hobj.dim, induced_psi(d), induced_sigma(d))
+    eq_twisted = check_twisted(system).passed
+    eq_cocycle = check_cocycle(system).passed
     be4 = be["unified.be4"].passed
     be5 = be["unified.be5"].passed
     eps_mult = mult["unified.h_counit_mult"].passed

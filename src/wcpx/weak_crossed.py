@@ -10,12 +10,12 @@ to a unital algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .linmaps import (LinMap, ShapeMismatchError, Splitting, equals,
-                      identity, split_idempotent, tensor)
-from .reporting import CheckRecord, Report, equality_record, predicate_record
+from .linmaps import (LinMap, ShapeMismatchError, Splitting, identity,
+                      split_idempotent, tensor)
+from .reporting import CheckRecord, Report, equality_record, memoised, predicate_record
 from .structures import AlgebraData
 
 
@@ -36,51 +36,22 @@ class CompatibilityError(PreconditionError):
     """The twisting map is not compatible with the product of A."""
 
 
-def compat_sides(algebra: AlgebraData, psi: LinMap, vdim: int) -> tuple[LinMap, LinMap]:
-    """Both sides of the compatibility condition for a twisting map."""
-    ida = algebra.id_map
-    idv = identity(algebra.field, vdim)
+def compat_report(algebra: AlgebraData, psi: LinMap, vdim: int, subject: str = "") -> Report:
+    """The compatibility of a twisting map with the product of A."""
+    ida, idv = algebra.id_map, identity(algebra.field, vdim)
     lhs = tensor(algebra.mul, idv) @ tensor(ida, psi) @ tensor(psi, ida)
     rhs = psi @ tensor(idv, algebra.mul)
-    return lhs, rhs
-
-
-def twisted_sides(algebra: AlgebraData, psi: LinMap, sigma: LinMap,
-                  vdim: int) -> tuple[LinMap, LinMap]:
-    """Both sides of the twisted condition."""
-    ida = algebra.id_map
-    idv = identity(algebra.field, vdim)
-    lhs = tensor(algebra.mul, idv) @ tensor(ida, psi) @ tensor(sigma, ida)
-    rhs = (tensor(algebra.mul, idv) @ tensor(ida, sigma)
-           @ tensor(psi, idv) @ tensor(idv, psi))
-    return lhs, rhs
-
-
-def cocycle_sides(algebra: AlgebraData, psi: LinMap, sigma: LinMap,
-                  vdim: int) -> tuple[LinMap, LinMap]:
-    """Both sides of the cocycle condition."""
-    ida = algebra.id_map
-    idv = identity(algebra.field, vdim)
-    lhs = tensor(algebra.mul, idv) @ tensor(ida, sigma) @ tensor(sigma, idv)
-    rhs = (tensor(algebra.mul, idv) @ tensor(ida, sigma)
-           @ tensor(psi, idv) @ tensor(idv, sigma))
-    return lhs, rhs
-
-
-def compat_report(algebra: AlgebraData, psi: LinMap, vdim: int, subject: str = "") -> Report:
-    report = Report()
-    lhs, rhs = compat_sides(algebra, psi, vdim)
-    report.add(equality_record("wcp.compat", lhs, rhs, subject))
-    return report
+    return Report([equality_record("wcp.compat", lhs, rhs, subject)])
 
 
 @dataclass(frozen=True)
 class CrossedSystem:
-    """A quadruple (A, V, psi, sigma) with the compatibility condition enforced.
+    """A quadruple (A, V, psi, sigma) of matching shapes.
 
-    Constructing a system verifies that psi is compatible with the product
-    of A; the twisted, cocycle and normalization conditions stay separate
-    checks so that failing systems can still be inspected.
+    Construction checks shapes only.  Compatibility, the twisted, cocycle
+    and normalization conditions are separate checks, so that failing
+    systems can still be inspected; build_nabla and build_products gate
+    on them.
     """
 
     algebra: AlgebraData
@@ -98,17 +69,6 @@ class CrossedSystem:
         if self.sigma.source.total != v * v or self.sigma.target.total != a * v:
             raise ShapeMismatchError(
                 f"sigma must map V⊗V -> A⊗V with dims ({v},{v}); got {self.sigma}")
-        record = compat_report(self.algebra, self.psi, self.vdim).records[0]
-        if record.failed:
-            w = record.witness
-            detail = ""
-            if w is not None:
-                detail = (f" at source {tuple(i + 1 for i in w.source_index)} "
-                          f"target {tuple(i + 1 for i in w.target_index)}: "
-                          f"{w.left} vs {w.right}")
-            raise CompatibilityError(
-                "wcp.compat",
-                "twisting map is not compatible with the product" + detail)
 
     @property
     def field(self):
@@ -116,7 +76,8 @@ class CrossedSystem:
 
     @cached_property
     def nabla(self) -> LinMap:
-        return build_nabla(self)
+        """The raw projector composite; build_nabla is the gated one."""
+        return nabla_of(self.algebra, self.psi, self.vdim)
 
 
 def nabla_of(algebra: AlgebraData, psi: LinMap, vdim: int) -> LinMap:
@@ -126,59 +87,81 @@ def nabla_of(algebra: AlgebraData, psi: LinMap, vdim: int) -> LinMap:
     return tensor(algebra.mul, idv) @ tensor(ida, psi) @ tensor(ida, idv, algebra.unit)
 
 
-def build_nabla(system: CrossedSystem) -> LinMap:
-    """The projector on A (x) V induced by the twisting map.
-
-    Idempotency and left linearity over A are consequences of the
-    compatibility condition; both are re-verified here and a violation
-    means the system data was corrupted after construction.
-    """
-    a = system.algebra
-    ida, idv = a.id_map, identity(a.field, system.vdim)
-    nabla = nabla_of(a, system.psi, system.vdim)
-    square = nabla @ nabla
-    if not equals(square, nabla):
-        raise CompatibilityError("wcp.nabla_idempotent", "induced projector is not idempotent",
-                                 equality_record("wcp.nabla_idempotent", square, nabla))
-    left_action = tensor(a.mul, idv)
-    lhs, rhs = nabla @ left_action, left_action @ tensor(ida, nabla)
-    if not equals(lhs, rhs):
-        raise CompatibilityError("wcp.nabla_left_linear", "induced projector is not left linear",
-                                 equality_record("wcp.nabla_left_linear", lhs, rhs))
-    return nabla
-
-
+@memoised
 def check_compat(system: CrossedSystem, subject: str = "") -> Report:
     return compat_report(system.algebra, system.psi, system.vdim, subject)
 
 
+@memoised
+def check_nabla(system: CrossedSystem, nabla: LinMap, subject: str = "") -> Report:
+    """Idempotency of a projector on A (x) V and its left linearity over A."""
+    left_action = tensor(system.algebra.mul, identity(system.field, system.vdim))
+    report = Report()
+    report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla, subject))
+    report.add(equality_record("wcp.nabla_left_linear", nabla @ left_action,
+                               left_action @ tensor(system.algebra.id_map, nabla), subject))
+    return report
+
+
+def require_compat(system: CrossedSystem) -> None:
+    """Raise CompatibilityError, with the failed record, unless psi is compatible."""
+    record = check_compat(system).records[0]
+    if record.failed:
+        w = record.witness
+        detail = ""
+        if w is not None:
+            detail = (f" at source {tuple(i + 1 for i in w.source_index)} "
+                      f"target {tuple(i + 1 for i in w.target_index)}: "
+                      f"{w.left} vs {w.right}")
+        raise CompatibilityError(
+            "wcp.compat", "twisting map is not compatible with the product" + detail, record)
+
+
+def build_nabla(system: CrossedSystem) -> LinMap:
+    """The projector on A (x) V induced by the twisting map, behind its gates.
+
+    Raises CompatibilityError when psi is not compatible with the product
+    of A, or when the projector is not idempotent or not left linear (both
+    follow from compatibility when A is a unital associative algebra).
+    """
+    require_compat(system)
+    for record in check_nabla(system, system.nabla).records:
+        if record.failed:
+            raise CompatibilityError(record.check,
+                                     record.anchor.replace(" is ", " is not "), record)
+    return system.nabla
+
+
+@memoised
 def check_twisted(system: CrossedSystem, subject: str = "") -> Report:
-    report = Report()
-    lhs, rhs = twisted_sides(system.algebra, system.psi, system.sigma, system.vdim)
-    report.add(equality_record("wcp.twisted", lhs, rhs, subject))
-    return report
+    a, psi, sigma = system.algebra, system.psi, system.sigma
+    ida, idv = a.id_map, identity(a.field, system.vdim)
+    lhs = tensor(a.mul, idv) @ tensor(ida, psi) @ tensor(sigma, ida)
+    rhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(psi, idv) @ tensor(idv, psi)
+    return Report([equality_record("wcp.twisted", lhs, rhs, subject)])
 
 
+@memoised
 def check_cocycle(system: CrossedSystem, subject: str = "") -> Report:
-    report = Report()
-    lhs, rhs = cocycle_sides(system.algebra, system.psi, system.sigma, system.vdim)
-    report.add(equality_record("wcp.cocycle", lhs, rhs, subject))
-    return report
+    a, psi, sigma = system.algebra, system.psi, system.sigma
+    ida, idv = a.id_map, identity(a.field, system.vdim)
+    lhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(sigma, idv)
+    rhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(psi, idv) @ tensor(idv, sigma)
+    return Report([equality_record("wcp.cocycle", lhs, rhs, subject)])
 
 
+@memoised
 def check_normalized(system: CrossedSystem, subject: str = "") -> Report:
-    report = Report()
-    report.add(equality_record("wcp.sigma_normalized",
-                               system.nabla @ system.sigma, system.sigma, subject))
-    return report
+    return Report([equality_record("wcp.sigma_normalized",
+                                   system.nabla @ system.sigma, system.sigma, subject)])
 
 
 def normalize_sigma(system: CrossedSystem) -> CrossedSystem:
     """Replace sigma by its projection; a no-op when already normalized."""
-    projected = system.nabla @ system.sigma
-    if equals(projected, system.sigma):
+    nabla = build_nabla(system)
+    if check_normalized(system).passed:
         return system
-    return replace(system, sigma=projected)
+    return replace(system, sigma=nabla @ system.sigma)
 
 
 def build_mu_tensor(system: CrossedSystem) -> LinMap:
@@ -205,8 +188,6 @@ class WeakCrossedProduct:
     preunit: LinMap | None = None
     unit_times: LinMap | None = None
     embedding: LinMap | None = None  # base algebra -> restricted product
-    # (inputs, records) of the product_checks that build_products evaluated
-    checked: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -217,32 +198,14 @@ class WeakCrossedProduct:
         return self.system.field
 
 
-def _checked_inputs(product: WeakCrossedProduct) -> tuple:
-    return (product.system, product.nabla, product.splitting, product.mu_tensor,
-            product.mu_times)
-
-
+@memoised
 def product_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
-    """Structural facts about a built product: projector, splitting, associativity.
-
-    The records build_products evaluated are reused while the product
-    still holds the same system and maps, so each is evaluated once.
-    """
-    if product.checked is not None:
-        inputs, records = product.checked
-        if all(a is b for a, b in zip(inputs, _checked_inputs(product))):
-            return Report([replace(r, subject=subject) for r in records])
-    system = product.system
-    f = system.field
+    """Structural facts about a built product: projector, splitting, associativity."""
+    f = product.field
     nabla, mu = product.nabla, product.mu_tensor
     id_av = identity(f, product.mu_tensor.target)
     id_mid = identity(f, product.splitting.mid)
-    report = Report()
-    report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla, subject))
-    left_action = tensor(system.algebra.mul, identity(f, system.vdim))
-    report.add(equality_record("wcp.nabla_left_linear",
-                               nabla @ left_action,
-                               left_action @ tensor(system.algebra.id_map, nabla), subject))
+    report = check_nabla(product.system, nabla, subject)
     report.add(equality_record("wcp.splitting_section",
                                product.splitting.projection @ product.splitting.injection,
                                id_mid, subject))
@@ -260,15 +223,22 @@ def product_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
     return report
 
 
+def _gate(check, system: CrossedSystem) -> None:
+    record = check(system).records[0]
+    if record.failed:
+        raise PreconditionError(record.check,
+                                f"cannot build the crossed product: {record.anchor} fails",
+                                record)
+
+
 def build_products(system: CrossedSystem) -> WeakCrossedProduct:
-    """Assemble the crossed product after the twisted / cocycle / normalization gates."""
-    for gate in (check_twisted, check_cocycle, check_normalized):
-        record = gate(system).records[0]
-        if record.failed:
-            raise PreconditionError(record.check,
-                                    f"cannot build the crossed product: {record.anchor} fails",
-                                    record)
-    nabla = system.nabla
+    """Assemble the crossed product behind its gates, in this order:
+    compatibility, twisted, cocycle, the projector, normalization."""
+    require_compat(system)
+    _gate(check_twisted, system)
+    _gate(check_cocycle, system)
+    nabla = build_nabla(system)
+    _gate(check_normalized, system)
     if nabla.is_zero():
         record = predicate_record("wcp.nabla_nonzero", False,
                                   note="the image of the projector is the zero space")
@@ -279,13 +249,12 @@ def build_products(system: CrossedSystem) -> WeakCrossedProduct:
     mu_times = (splitting.projection @ mu_tensor
                 @ tensor(splitting.injection, splitting.injection))
     product = WeakCrossedProduct(system, nabla, splitting, mu_tensor, mu_times)
-    checks = product_checks(product)
-    bad = checks.failures()
+    bad = product_checks(product).failures()
     if bad:
         raise PreconditionError(bad[0].check,
                                 f"crossed product postcondition failed: {bad[0].anchor}",
                                 bad[0])
-    return replace(product, checked=(_checked_inputs(product), checks.records))
+    return product
 
 
 def beta_map(system: CrossedSystem, nu: LinMap) -> LinMap:
@@ -294,6 +263,7 @@ def beta_map(system: CrossedSystem, nu: LinMap) -> LinMap:
     return tensor(a.mul, identity(a.field, system.vdim)) @ tensor(a.id_map, nu)
 
 
+@memoised
 def check_preunit(product: WeakCrossedProduct, nu: LinMap, subject: str = "") -> Report:
     """Preunit laws for nu plus its three compatibility conditions.
 
@@ -329,6 +299,7 @@ def check_preunit(product: WeakCrossedProduct, nu: LinMap, subject: str = "") ->
     return report
 
 
+@memoised
 def algebra_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
     """Unit laws on the restricted product and the base-map properties."""
     if product.unit_times is None or product.embedding is None:

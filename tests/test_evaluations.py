@@ -1,0 +1,67 @@
+"""Every check is evaluated at most once per block that a run covers."""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from wcpx import reporting
+from wcpx.cli import main
+from wcpx.fields import QQ
+from wcpx.parser import parse
+from wcpx.partial_crossed import partial_pipeline, partial_smash_action
+from wcpx.unified_product import s3_smash_datum, unified_pipeline
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+STRUCTURES = ("algebra", "coalgebra", "bialgebra", "hopf", "prehopf")
+
+# command -> the number of blocks of a parsed file that it checks
+BLOCKS = {
+    "check-structure": lambda sf: sum(kind in STRUCTURES for kind, _ in sf.order),
+    "wcp-check": lambda sf: len(sf.crossed_systems),
+    "wcp-build": lambda sf: len(sf.crossed_systems),
+    "partial-check": lambda sf: len(sf.partial_actions),
+    "partial-build": lambda sf: len(sf.partial_actions),
+    "unified-check": lambda sf: len(sf.extending_data),
+    "unified-build": lambda sf: len(sf.extending_data),
+    "equivalence-suite": lambda sf: len(sf.partial_actions) + len(sf.extending_data),
+}
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Check id -> number of equality_record calls, in every module that imports it."""
+    counts = Counter()
+    original = reporting.equality_record
+
+    def counted(check_id, *args, **kwargs):
+        counts[check_id] += 1
+        return original(check_id, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wcpx") and getattr(module, "equality_record", None) is original:
+            monkeypatch.setattr(module, "equality_record", counted)
+    return counts
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.wx")))
+@pytest.mark.parametrize("command", sorted(BLOCKS))
+def test_cli_evaluates_each_check_once_per_block(command, fixture, evaluations):
+    path = FIXTURES / fixture
+    blocks = BLOCKS[command](parse(path.read_text(encoding="utf-8")))
+    result = CliRunner().invoke(main, [command, str(path)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in ((2,) if blocks == 0 else (0, 1)), result.output
+    repeated = {check: n for check, n in evaluations.items() if n > blocks}
+    assert not repeated, f"{command} on {fixture} ({blocks} blocks): {repeated}"
+
+
+@pytest.mark.parametrize("pipeline, example", [(partial_pipeline, partial_smash_action),
+                                               (unified_pipeline, s3_smash_datum)])
+def test_pipelines_evaluate_each_check_once(pipeline, example, evaluations):
+    report, product = pipeline(example(QQ))
+    assert product is not None and report.passed
+    repeated = {check: n for check, n in evaluations.items() if n > 1}
+    assert not repeated, repeated

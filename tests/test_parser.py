@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from wcpx.fields import QQ, prime_field
-from wcpx.linmaps import equals
+from wcpx.linmaps import LinMap, equals
 from wcpx.parser import ParseError, emit_structure_file, parse
 from wcpx.structures import check_algebra, check_hopf, group_algebra
 from wcpx.partial_crossed import partial_report
@@ -112,3 +112,25 @@ def test_parse_emit_round_trip_is_lossless(name):
     assert parse(emitted) == original
     # and emission is a fixed point
     assert emit_structure_file(parse(emitted)) == emitted
+
+
+def test_blocks_build_only_the_maps_of_their_kind(monkeypatch):
+    # an algebra block builds no counit or comul; at dim 100000 the comul
+    # alone would have 10^10 rows, so the spy refuses to build it
+    build = LinMap.from_dict.__func__
+    targets = []
+
+    def spy(cls, field, source, target, values):
+        targets.append(target.total)
+        assert target.total <= 100000, f"parse builds a map with {target.total} rows"
+        return build(cls, field, source, target, values)
+
+    monkeypatch.setattr(LinMap, "from_dict", classmethod(spy))
+    dim = 100000
+    sf = parse(f"field Q\nalgebra A dim {dim}\nunit: 1{' 0' * (dim - 1)}\nmul 1 1 : 1=1\n")
+    assert sf.algebras["A"].dim == dim
+    assert targets == [dim, dim]  # unit K -> A and mul A⊗A -> A
+    targets.clear()
+    sf = parse("field Q\ncoalgebra C dim 2\ncounit: 1 1\ncomul 1 : (1,1)=1\ncomul 2 : (2,2)=1\n")
+    assert sf.coalgebras["C"].dim == 2
+    assert targets == [1, 4]  # counit C -> K and comul C -> C⊗C

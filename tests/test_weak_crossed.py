@@ -47,8 +47,9 @@ def test_rank_one_twisting_fails_with_witness(field):
     assert record.failed
     assert record.witness.source_index == (0, 1, 1)
     assert (record.witness.left, record.witness.right) == ("0", "1")
+    system = wc.CrossedSystem(a, 2, psi, LinMap.from_dict(field, shape(2, 2), shape(2, 2), {}))
     with pytest.raises(wc.CompatibilityError):
-        wc.CrossedSystem(a, 2, psi, LinMap.from_dict(field, shape(2, 2), shape(2, 2), {}))
+        wc.build_products(system)
 
 
 # -- the projector ----------------------------------------------------------------
@@ -218,7 +219,7 @@ def test_known_unital_product_arises_from_crossed_data(field):
 def test_product_checks_are_evaluated_once_per_built_product(field, monkeypatch):
     system, _, _ = tensor_system(field)
     product = wc.build_products(system)
-    fresh = wc.product_checks(replace(product, checked=None), "tensor")
+    fresh = wc.product_checks(replace(product), "tensor")
     calls = []
     monkeypatch.setattr(wc, "equality_record", lambda *args, **kw: calls.append(args))
     reused = wc.product_checks(product, "tensor")
