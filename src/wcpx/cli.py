@@ -22,11 +22,10 @@ from .parser import ParseError, StructureFile, parse
 from .reporting import Report, emit, format_record
 from .structures import (check_algebra, check_bialgebra, check_coalgebra,
                          check_hopf)
-from .weak_crossed import (CrossedSystem, PreconditionError, algebra_checks,
-                           build_algebra, build_products, check_cocycle,
-                           check_compat, check_nabla, check_normalized,
-                           check_preunit, check_twisted, normalize_sigma,
-                           product_checks)
+from .weak_crossed import (PreconditionError, algebra_checks, build_algebra,
+                           build_products, check_cocycle, check_compat,
+                           check_nabla, check_normalized, check_preunit,
+                           check_twisted, normalize_sigma, product_checks)
 from .partial_crossed import partial_pipeline, partial_report, theorem_equivalence_suite
 from .unified_product import (check_be, check_extending_datum,
                               check_nabla_identity, check_pre_hopf,
@@ -142,13 +141,12 @@ def check_structure(path: str, report_path: str | None, name: str | None) -> Non
     _finish(report, raw, report_path)
 
 
-def _gates(decl, subject: str) -> tuple[CrossedSystem, Report]:
-    """The declared system and its compatibility, twisted and cocycle records."""
-    system = CrossedSystem(decl.algebra, decl.vdim, decl.psi, decl.sigma)
+def _gates(system, subject: str) -> Report:
+    """The compatibility, twisted and cocycle records of a declared system."""
     report = Report()
     for check in (check_compat, check_twisted, check_cocycle):
         report.extend(check(system, subject))
-    return system, report
+    return report
 
 
 @main.command("wcp-check")
@@ -161,7 +159,8 @@ def wcp_check(path: str, report_path: str | None, name: str | None) -> None:
     click.echo(f"field {sf.field}")
     report = Report()
     for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        system, sub = _gates(decl, block_name)
+        system = decl.system
+        sub = _gates(system, block_name)
         sub.add(check_nabla(system, system.nabla, block_name)["wcp.nabla_idempotent"])
         sub.extend(check_normalized(system, block_name))
         if decl.preunit is not None and sub.passed:
@@ -185,7 +184,8 @@ def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
     click.echo(f"field {sf.field}")
     report = Report()
     for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        system, gates = _gates(decl, block_name)
+        system = decl.system
+        gates = _gates(system, block_name)
         report.records.extend(gates.records)
         if not gates.passed:
             continue

@@ -216,10 +216,6 @@ class LinMap:
         return tuple(MappingProxyType(row) for row in self._rows)
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, source: ObjectShape, target: ObjectShape, rows) -> "LinMap":
-        return cls(field, source, target, [tuple(row) for row in rows])
-
-    @classmethod
     def from_dict(cls, field: FieldSpec, source: ObjectShape, target: ObjectShape, values) -> "LinMap":
         """Build from a sparse {(row, col): scalar} dict; absent entries are zero."""
         rows: list[Row] = [{} for _ in range(target.total)]
@@ -316,10 +312,6 @@ class LinMap:
 def identity(field: FieldSpec, shape_or_dim) -> LinMap:
     sh = shape_or_dim if isinstance(shape_or_dim, ObjectShape) else ObjectShape((shape_or_dim,))
     return LinMap._of(field, sh, sh, [{i: 1} for i in range(sh.total)])
-
-
-def zero_map(field: FieldSpec, source: ObjectShape, target: ObjectShape) -> LinMap:
-    return LinMap._of(field, source, target, [{} for _ in range(target.total)])
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:

@@ -26,6 +26,7 @@ from .linmaps import LinMap, ObjectShape, UNIT_SHAPE
 from .structures import AlgebraData, BialgebraData, CoalgebraData, HopfData
 from .partial_crossed import TwistedPartialAction
 from .unified_product import ExtendingDatum, PreHopfObject
+from .weak_crossed import CrossedSystem
 
 TENSOR_SIGNS = ("⊗", "*")  # accepted separators in morphism shapes
 
@@ -41,12 +42,9 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class CrossedSystemDecl:
     algebra_name: str
-    algebra: AlgebraData
-    vdim: int
     psi_name: str
-    psi: LinMap
     sigma_name: str
-    sigma: LinMap
+    system: CrossedSystem
     preunit_name: str | None = None
     preunit: LinMap | None = None
 
@@ -333,18 +331,15 @@ class _Parser:
             preunit = (self.lookup_morphism(preunit_name, out, lineno)
                        if preunit_name else None)
             alg = out.algebras[alg_name]
-            for m, src, tgt, what in ((psi, vdim * alg.dim, alg.dim * vdim, "psi"),
-                                      (sigma, vdim * vdim, alg.dim * vdim, "sigma")):
-                if m.source.total != src or m.target.total != tgt:
-                    raise self.error(lineno, 1,
-                                     f"{what} has shape {m.source}->{m.target}, "
-                                     f"expected sizes {src}->{tgt}")
+            try:
+                system = CrossedSystem(alg, vdim, psi, sigma)
+            except ValueError as exc:
+                raise self.error(lineno, 1, str(exc)) from exc
             if preunit is not None and (preunit.source.total != 1
                                         or preunit.target.total != alg.dim * vdim):
                 raise self.error(lineno, 1, "preunit must map K -> A⊗V")
             out.crossed_systems[name] = CrossedSystemDecl(
-                alg_name, alg, vdim, pairs["psi"], psi, pairs["sigma"], sigma,
-                preunit_name, preunit)
+                alg_name, pairs["psi"], pairs["sigma"], system, preunit_name, preunit)
             out.order.append(("crossed_system", name))
             return
 
@@ -555,7 +550,7 @@ def emit_structure_file(sf: StructureFile) -> str:
             decl = sf.crossed_systems[name]
             extra = f" preunit={decl.preunit_name}" if decl.preunit_name else ""
             lines.append(f"crossed_system {name} : algebra={decl.algebra_name} "
-                         f"v={decl.vdim} psi={decl.psi_name} sigma={decl.sigma_name}{extra}")
+                         f"v={decl.system.vdim} psi={decl.psi_name} sigma={decl.sigma_name}{extra}")
             lines.append("")
         elif kind == "partial_action":
             decl = sf.partial_actions[name]

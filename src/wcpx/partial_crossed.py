@@ -11,6 +11,7 @@ the image of the induced projector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _elements as el
 from .fields import FieldSpec
@@ -46,22 +47,26 @@ class TwistedPartialAction:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
+    @cached_property
+    def system(self) -> CrossedSystem:
+        """The crossed system (A, H, psi, sigma) induced by (phi, omega), built once;
+        the induced-map checks, the pipeline and the suite all read it."""
+        return CrossedSystem(self.algebra, self.hopf.dim, induced_psi(self), induced_sigma(self))
+
 
 def _maps(act: TwistedPartialAction):
     h, a = act.hopf, act.algebra
-    idh, ida = h.algebra.id_map, a.id_map
-    c_ha = braiding(act.field, h.dim, a.dim)
-    c_hh = braiding(act.field, h.dim, h.dim)
-    return h, a, idh, ida, c_ha, c_hh
+    return h, a, h.algebra.id_map, a.id_map
 
 
 def induced_psi(act: TwistedPartialAction) -> LinMap:
-    h, a, idh, ida, c_ha, _ = _maps(act)
+    h, a, idh, ida = _maps(act)
+    c_ha = braiding(act.field, h.dim, a.dim)
     return tensor(act.phi, idh) @ tensor(idh, c_ha) @ tensor(h.comul, ida)
 
 
 def induced_sigma(act: TwistedPartialAction) -> LinMap:
-    h, _, _, _, _, c_hh = _maps(act)
+    h = act.hopf
     return after_tensor_comul(tensor(act.omega, h.mul), h, h)
 
 
@@ -72,8 +77,9 @@ def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
     These hold for arbitrary (phi, omega) as long as H really is a Hopf
     algebra, so a failure here points at corrupted structure constants.
     """
-    h, a, idh, ida, c_ha, c_hh = _maps(act)
-    psi, sigma = induced_psi(act), induced_sigma(act)
+    h, a, idh, ida = _maps(act)
+    psi, sigma = act.system.psi, act.system.sigma
+    c_ha = braiding(act.field, h.dim, a.dim)
     eps = h.counit
     report = Report()
     report.add(equality_record(
@@ -103,41 +109,38 @@ def induce_psi_sigma(act: TwistedPartialAction) -> CrossedSystem:
         raise PreconditionError(
             bad[0].check,
             f"recovery identity {bad[0].anchor!r} fails: Hopf data is corrupted")
-    system = CrossedSystem(act.algebra, act.hopf.dim, induced_psi(act), induced_sigma(act))
-    build_nabla(system)
-    return system
+    build_nabla(act.system)
+    return act.system
 
 
 def _action_mult_sides(act: TwistedPartialAction, composite: bool):
-    h, a, idh, ida, c_ha, _ = _maps(act)
+    h, a, idh, ida = _maps(act)
     lhs = act.phi @ tensor(idh, a.mul)
     if composite:
+        c_ha = braiding(act.field, h.dim, a.dim)
         rhs = (a.mul @ tensor(act.phi, act.phi) @ tensor(idh, c_ha, ida)
                @ tensor(h.comul, ida, ida))
     else:
-        rhs = a.mul @ tensor(ida, act.phi) @ tensor(induced_psi(act), ida)
+        rhs = a.mul @ tensor(ida, act.phi) @ tensor(act.system.psi, ida)
     return lhs, rhs
 
 
 def _twist_sides(act: TwistedPartialAction, composite: bool):
-    h, a, idh, ida, c_ha, _ = _maps(act)
-    psi, sigma = induced_psi(act), induced_sigma(act)
+    h, a, idh, ida = _maps(act)
+    psi = act.system.psi
     if composite:
+        c_ha = braiding(act.field, h.dim, a.dim)
         lhs = (a.mul @ tensor(act.phi, act.omega) @ tensor(idh, c_ha, idh)
                @ tensor(h.comul, psi))
     else:
         lhs = a.mul @ tensor(ida, act.omega) @ tensor(psi, idh) @ tensor(idh, psi)
-    rhs = a.mul @ tensor(ida, act.phi) @ tensor(sigma, ida)
+    rhs = a.mul @ tensor(ida, act.phi) @ tensor(act.system.sigma, ida)
     return lhs, rhs
 
 
-def _absorb_sides(act: TwistedPartialAction, composite: bool):
-    h, a, idh, ida, _, c_hh = _maps(act)
-    if composite:
-        sigma = after_tensor_comul(tensor(act.omega, h.mul), h, h)
-    else:
-        sigma = induced_sigma(act)
-    return act.omega, a.mul @ tensor(ida, act.phi) @ tensor(sigma, a.unit)
+def _absorb_sides(act: TwistedPartialAction, _composite: bool):
+    a = act.algebra
+    return act.omega, a.mul @ tensor(a.id_map, act.phi) @ tensor(act.system.sigma, a.unit)
 
 
 def check_partial_action(act: TwistedPartialAction, subject: str = "") -> Report:
@@ -145,8 +148,10 @@ def check_partial_action(act: TwistedPartialAction, subject: str = "") -> Report
 
     Both forms of each condition are evaluated and their agreement is
     asserted as its own record, guarding the wiring of the induced maps.
+    The two forms of the cocycle absorption share sigma, whose composite
+    form is its definition, so they differ only in their check ids.
     """
-    h, a, idh, ida, _, _ = _maps(act)
+    h, ida = act.hopf, act.algebra.id_map
     report = Report()
     report.add(equality_record("partial.identity",
                                act.phi @ tensor(h.unit, ida), ida, subject))
@@ -165,22 +170,21 @@ def check_partial_action(act: TwistedPartialAction, subject: str = "") -> Report
 
 
 def _cocycle_sides(act: TwistedPartialAction, composite: bool):
-    h, a, idh, ida, c_ha, c_hh = _maps(act)
+    h, a, idh, ida = _maps(act)
+    sigma = act.system.sigma
     if composite:
-        sigma = after_tensor_comul(tensor(act.omega, h.mul), h, h)
+        c_ha = braiding(act.field, h.dim, a.dim)
         lhs = (a.mul @ tensor(act.phi, act.omega) @ tensor(idh, c_ha, idh)
                @ tensor(h.comul, sigma))
-        rhs = a.mul @ tensor(ida, act.omega) @ tensor(sigma, idh)
     else:
-        psi, sigma = induced_psi(act), induced_sigma(act)
-        lhs = a.mul @ tensor(ida, act.omega) @ tensor(psi, idh) @ tensor(idh, sigma)
-        rhs = a.mul @ tensor(ida, act.omega) @ tensor(sigma, idh)
+        lhs = a.mul @ tensor(ida, act.omega) @ tensor(act.system.psi, idh) @ tensor(idh, sigma)
+    rhs = a.mul @ tensor(ida, act.omega) @ tensor(sigma, idh)
     return lhs, rhs
 
 
 def check_units_and_cocycle(act: TwistedPartialAction, subject: str = "") -> Report:
     """Unit conditions on omega and the partial cocycle condition in both forms."""
-    h, a, idh, ida, _, _ = _maps(act)
+    h, a, idh, _ = _maps(act)
     unit_target = act.phi @ tensor(idh, a.unit)
     report = Report()
     report.add(equality_record("partial.unit_right",
@@ -210,7 +214,7 @@ def partial_report(act: TwistedPartialAction, subject: str = "") -> Report:
 def nabla_unit_form(act: TwistedPartialAction) -> LinMap:
     """The projector written through omega; equals the induced projector
     whenever the unit conditions hold."""
-    h, a, idh, ida, _, _ = _maps(act)
+    h, a, idh, ida = _maps(act)
     return (tensor(a.mul @ tensor(ida, act.omega), idh)
             @ tensor(ida, h.unit, h.comul))
 
@@ -312,9 +316,8 @@ def theorem_equivalence_suite(act: TwistedPartialAction, subject: str = "") -> R
     """
     partial_twist = equality_record("partial.twist", *_twist_sides(act, False)).passed
     partial_cocycle = equality_record("partial.cocycle", *_cocycle_sides(act, False)).passed
-    system = CrossedSystem(act.algebra, act.hopf.dim, induced_psi(act), induced_sigma(act))
-    eq_twisted = check_twisted(system).passed
-    eq_cocycle = check_cocycle(system).passed
+    eq_twisted = check_twisted(act.system).passed
+    eq_cocycle = check_cocycle(act.system).passed
     report = Report()
     report.add(predicate_record(
         "partial.thm_twisted_equiv", partial_twist == eq_twisted, subject=subject,

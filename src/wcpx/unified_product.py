@@ -11,6 +11,7 @@ when that product is associative and unital.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _elements as el
 from .fields import FieldSpec
@@ -21,7 +22,7 @@ from .structures import (BialgebraData, after_tensor_comul, group_algebra,
 from .weak_crossed import (CompatibilityError, CrossedSystem, PreconditionError,
                            WeakCrossedProduct, algebra_checks, build_algebra,
                            build_products, check_cocycle, check_normalized,
-                           check_preunit, check_twisted, nabla_of, product_checks,
+                           check_preunit, check_twisted, product_checks,
                            require_compat)
 
 
@@ -105,19 +106,17 @@ class ExtendingDatum:
     def field(self) -> FieldSpec:
         return self.bialgebra.field
 
+    @cached_property
+    def system(self) -> CrossedSystem:
+        """The crossed system (A, H, psi, sigma) induced by the datum, built once;
+        the BE and lemma checks, the pipeline and the suite all read it."""
+        return CrossedSystem(self.bialgebra.algebra, self.hobj.dim,
+                             induced_psi(self), induced_sigma(self))
+
 
 def _maps(d: ExtendingDatum):
     a, h = d.bialgebra, d.hobj
-    ida, idh = a.algebra.id_map, h.id_map
-    c_ha = braiding(d.field, h.dim, a.dim)
-    c_hh = braiding(d.field, h.dim, h.dim)
-    return a, h, ida, idh, c_ha, c_hh
-
-
-def comul_square_h(d: ExtendingDatum) -> LinMap:
-    """The tensor coalgebra coproduct on H (x) H."""
-    _, h, _, idh, _, c_hh = _maps(d)
-    return tensor(idh, c_hh, idh) @ tensor(h.comul, h.comul)
+    return a, h, a.algebra.id_map, h.id_map
 
 
 def induced_psi(d: ExtendingDatum) -> LinMap:
@@ -130,7 +129,7 @@ def induced_sigma(d: ExtendingDatum) -> LinMap:
 
 def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
     """Pre-Hopf axioms, coalgebra-morphism conditions, normalizing conditions."""
-    a, h, ida, idh, _, _ = _maps(d)
+    a, h, ida, idh = _maps(d)
     eps_pair = tensor(h.counit, a.counit)
     report = check_pre_hopf(h, subject)
     report.add(equality_record("unified.phi_h_comul",
@@ -166,7 +165,7 @@ def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
 @memoised
 def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
     """Multiplicativity of the extending coproduct/counit; right module laws."""
-    a, h, ida, idh, _, _ = _maps(d)
+    a, h, ida, idh = _maps(d)
     report = Report()
     report.add(equality_record("unified.h_comul_mult",
                                h.comul @ h.mul, product_of_coproducts(h.mul, h.comul, h.dim),
@@ -184,8 +183,8 @@ def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
 @memoised
 def check_be(d: ExtendingDatum, subject: str = "") -> Report:
     """The seven extension conditions, in their morphism form."""
-    a, h, ida, idh, _, _ = _maps(d)
-    psi, sigma = induced_psi(d), induced_sigma(d)
+    a, h, ida, idh = _maps(d)
+    psi, sigma = d.system.psi, d.system.sigma
     c_ah = braiding(d.field, a.dim, h.dim)
     report = Report()
     report.add(equality_record("unified.be1",
@@ -220,8 +219,8 @@ def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
     multiplicative; on data without that property they are reported as
     skipped, never asserted.
     """
-    a, h, ida, idh, _, _ = _maps(d)
-    psi, sigma = induced_psi(d), induced_sigma(d)
+    a, h, ida, idh = _maps(d)
+    psi, sigma = d.system.psi, d.system.sigma
     mult = multiplicativity_report(d)
     report = Report()
     report.add(equality_record("unified.lemma_psi_right_comul",
@@ -268,21 +267,20 @@ def induce(d: ExtendingDatum) -> CrossedSystem:
             raise PreconditionError(
                 record.check,
                 f"recovery identity {record.anchor!r} fails: extending datum is corrupted")
-    system = CrossedSystem(d.bialgebra.algebra, d.hobj.dim, induced_psi(d), induced_sigma(d))
     try:
-        require_compat(system)
+        require_compat(d.system)
     except CompatibilityError as exc:
         raise PreconditionError(
             "unified.be2",
             "compatibility fails for the induced twisting map; the datum lacks "
             "the partial multiplicativity (BE2) or right module hypotheses") from exc
-    return system
+    return d.system
 
 
 def check_nabla_identity(d: ExtendingDatum, subject: str = "") -> Report:
     """The induced projector must be the identity on A (x) H."""
     report = Report()
-    nabla = nabla_of(d.bialgebra.algebra, induced_psi(d), d.hobj.dim)
+    nabla = d.system.nabla
     report.add(equality_record("unified.nabla_identity", nabla,
                                identity(d.field, nabla.source), subject))
     return report
@@ -371,16 +369,18 @@ def build_unified_product(d: ExtendingDatum) -> WeakCrossedProduct:
 
 
 def _swap_lemma_sides(d: ExtendingDatum, use_sigma: bool):
-    a, h, ida, idh, c_ha, c_hh = _maps(d)
+    a, h, ida, idh = _maps(d)
+    c_ha = braiding(d.field, h.dim, a.dim)
+    c_hh = braiding(d.field, h.dim, h.dim)
     if use_sigma:
-        inner = tensor(a.comul, idh) @ induced_sigma(d)
-        rhs = (tensor(induced_sigma(d), d.phi_h)
+        inner = tensor(a.comul, idh) @ d.system.sigma
+        rhs = (tensor(d.system.sigma, d.phi_h)
                @ tensor(idh, c_hh, d.tau)
                @ tensor(c_hh, c_hh, idh)
                @ tensor(idh, h.comul, h.comul))
     else:
-        inner = tensor(a.comul, idh) @ induced_psi(d)
-        rhs = (tensor(induced_psi(d), d.phi_h)
+        inner = tensor(a.comul, idh) @ d.system.psi
+        rhs = (tensor(d.system.psi, d.phi_h)
                @ tensor(idh, c_ha, d.phi_a)
                @ tensor(c_hh, c_ha, ida)
                @ tensor(idh, h.comul, a.comul))
@@ -418,9 +418,8 @@ def theorem_equivalence_suite_unified(d: ExtendingDatum, subject: str = "") -> R
     """
     be = check_be(d)
     mult = multiplicativity_report(d)
-    system = CrossedSystem(d.bialgebra.algebra, d.hobj.dim, induced_psi(d), induced_sigma(d))
-    eq_twisted = check_twisted(system).passed
-    eq_cocycle = check_cocycle(system).passed
+    eq_twisted = check_twisted(d.system).passed
+    eq_cocycle = check_cocycle(d.system).passed
     be4 = be["unified.be4"].passed
     be5 = be["unified.be5"].passed
     eps_mult = mult["unified.h_counit_mult"].passed

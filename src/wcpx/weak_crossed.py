@@ -76,15 +76,11 @@ class CrossedSystem:
 
     @cached_property
     def nabla(self) -> LinMap:
-        """The raw projector composite; build_nabla is the gated one."""
-        return nabla_of(self.algebra, self.psi, self.vdim)
-
-
-def nabla_of(algebra: AlgebraData, psi: LinMap, vdim: int) -> LinMap:
-    """The raw projector composite on A (x) V; no conditions assumed or checked."""
-    ida = algebra.id_map
-    idv = identity(algebra.field, vdim)
-    return tensor(algebra.mul, idv) @ tensor(ida, psi) @ tensor(ida, idv, algebra.unit)
+        """The raw projector composite on A (x) V, no conditions assumed or
+        checked; build_nabla is the gated one."""
+        a, ida = self.algebra, self.algebra.id_map
+        idv = identity(a.field, self.vdim)
+        return tensor(a.mul, idv) @ tensor(ida, self.psi) @ tensor(ida, idv, a.unit)
 
 
 @memoised

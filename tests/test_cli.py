@@ -186,3 +186,16 @@ def test_zero_projector_fails_with_named_record(tmp_path, command):
     assert checks[-1] == {"anchor": "induced projector is nonzero", "check": "wcp.nabla_nonzero",
                           "note": "the image of the projector is the zero space",
                           "status": "fail", "subject": "tensor"}
+
+
+def test_mis_shaped_psi_exits_two_at_its_declaration(tmp_path):
+    text = (FIXTURES / "tensor_wcp.wx").read_text()
+    swap = "morphism tw : 2⊗A -> A⊗2\ne 1 : 1=1\ne 2 : 3=1\ne 3 : 2=1\ne 4 : 4=1\n"
+    assert swap in text
+    bad = tmp_path / "bad_psi.wx"
+    bad.write_text(text.replace(swap, "morphism tw : 2⊗A -> A\ne 1 : 1=1\n"))
+    line = bad.read_text().splitlines().index(
+        "crossed_system tensor : algebra=A v=2 psi=tw sigma=coc preunit=pre") + 1
+    result = run("wcp-check", bad)
+    assert result.exit_code == 2, result.output
+    assert f"line {line}, col 1: psi must map V⊗A -> A⊗V" in result.output

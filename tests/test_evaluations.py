@@ -7,12 +7,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from wcpx import partial_crossed as pc
 from wcpx import reporting
+from wcpx import unified_product as up
 from wcpx.cli import main
 from wcpx.fields import QQ
 from wcpx.parser import parse
-from wcpx.partial_crossed import partial_pipeline, partial_smash_action
-from wcpx.unified_product import s3_smash_datum, unified_pipeline
+from wcpx.partial_crossed import (partial_pipeline, partial_smash_action,
+                                  theorem_equivalence_suite)
+from wcpx.unified_product import (s3_smash_datum, theorem_equivalence_suite_unified,
+                                  unified_pipeline)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 STRUCTURES = ("algebra", "coalgebra", "bialgebra", "hopf", "prehopf")
@@ -65,3 +69,33 @@ def test_pipelines_evaluate_each_check_once(pipeline, example, evaluations):
     assert product is not None and report.passed
     repeated = {check: n for check, n in evaluations.items() if n > 1}
     assert not repeated, repeated
+
+
+@pytest.mark.parametrize("pipeline, suite, example", [
+    (partial_pipeline, theorem_equivalence_suite, partial_smash_action),
+    (unified_pipeline, theorem_equivalence_suite_unified, s3_smash_datum)])
+def test_suite_shares_the_quadruple_checks_of_the_pipeline(pipeline, suite, example,
+                                                            evaluations):
+    data = example(QQ)
+    assert pipeline(data)[0].passed
+    assert suite(data).passed
+    assert evaluations["wcp.twisted"] == evaluations["wcp.cocycle"] == 1
+
+
+@pytest.mark.parametrize("module, example, runs", [
+    (pc, partial_smash_action,
+     (pc.lemma_report, partial_pipeline, theorem_equivalence_suite)),
+    (up, s3_smash_datum,
+     (up.lemma_identities_report, up.check_be, up.check_nabla_identity, unified_pipeline,
+      theorem_equivalence_suite_unified))])
+def test_induced_maps_are_built_once_per_input(module, example, runs, monkeypatch):
+    calls = Counter()
+    for name in ("induced_psi", "induced_sigma"):
+        def counted(data, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(data)
+        monkeypatch.setattr(module, name, counted)
+    data = example(QQ)
+    for run in runs:
+        run(data)
+    assert calls == {"induced_psi": 1, "induced_sigma": 1}

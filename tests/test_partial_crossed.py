@@ -50,14 +50,23 @@ def test_lemma_identities_on_canonical_actions(field):
 small = st.integers(min_value=-2, max_value=2)
 
 
+def test_replaced_action_builds_its_system_from_the_new_map(field):
+    act = pc.partial_smash_action(field)
+    system = act.system
+    moved = replace(act, phi=pc.global_action(field).phi)
+    assert act.system is system
+    assert equals(moved.system.psi, pc.induced_psi(moved))
+    assert not equals(moved.system.psi, system.psi)
+
+
 @given(phi_rows=st.lists(st.lists(small, min_size=4, max_size=4), min_size=2, max_size=2),
        omega_rows=st.lists(st.lists(small, min_size=4, max_size=4), min_size=2, max_size=2))
 @settings(max_examples=25, deadline=None)
 def test_lemma_identities_hold_for_arbitrary_maps(phi_rows, omega_rows):
     hopf = group_algebra(2, QQ)
     alg = product_algebra(2, QQ)
-    phi = LinMap.from_rows(QQ, shape(2, 2), shape(2,), phi_rows)
-    omega = LinMap.from_rows(QQ, shape(2, 2), shape(2,), omega_rows)
+    phi = LinMap(QQ, shape(2, 2), shape(2,), phi_rows)
+    omega = LinMap(QQ, shape(2, 2), shape(2,), omega_rows)
     act = pc.TwistedPartialAction(hopf, alg, phi, omega)
     assert pc.lemma_report(act).passed
 
@@ -137,7 +146,7 @@ def test_vanishing_action_product_is_one_dimensional(field):
 def test_smash_projector_is_the_expected_diagonal(field):
     system = pc.induce_psi_sigma(pc.partial_smash_action(field))
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-    assert system.nabla.entries == LinMap.from_rows(
+    assert system.nabla.entries == LinMap(
         field, shape(2, 2), shape(2, 2), expected).entries
 
 

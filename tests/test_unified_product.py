@@ -113,6 +113,15 @@ def test_smash_datum_induced_values(field):
     assert hit == {(0, 0)}                                     # 1 (x) 1
 
 
+def test_replaced_datum_builds_its_system_from_the_new_map(field):
+    d = up.s3_smash_datum(field)
+    system = d.system
+    doubled = replace(d, tau=d.tau.scale(2))
+    assert d.system is system
+    assert equals(doubled.system.sigma, up.induced_sigma(doubled))
+    assert not equals(doubled.system.sigma, system.sigma)
+
+
 def test_lemma_identities_gated_on_multiplicativity(field):
     d = fusion_datum(field)
     assert up.check_extending_datum(d).passed
@@ -124,8 +133,11 @@ def test_lemma_identities_gated_on_multiplicativity(field):
     assert report["unified.lemma_sigma_right_comul"].status == "skipped"
     assert report["unified.lemma_tau_counit"].status == "skipped"
     # the skipped identity genuinely fails on this datum
+    h = d.hobj
     sigma = up.induced_sigma(d)
-    lhs = tensor(sigma, d.hobj.mul) @ up.comul_square_h(d)
+    comul_square = (tensor(h.id_map, braiding(field, h.dim, h.dim), h.id_map)
+                    @ tensor(h.comul, h.comul))
+    lhs = tensor(sigma, h.mul) @ comul_square
     rhs = tensor(d.bialgebra.algebra.id_map, d.hobj.comul) @ sigma
     assert not equals(lhs, rhs)
 
