@@ -20,14 +20,15 @@ from . import __version__
 from .fields import FieldError, parse_field
 from .parser import ParseError, StructureFile, parse
 from .reporting import Report, emit, format_record
-from .structures import (check_algebra, check_bialgebra, check_coalgebra,
-                         check_hopf)
+from .structures import (AlgebraData, CoalgebraData, HopfData, check_algebra,
+                         check_bialgebra, check_coalgebra, check_hopf)
 from .weak_crossed import (PreconditionError, algebra_checks, build_algebra,
                            build_products, check_cocycle, check_compat,
                            check_nabla, check_normalized, check_preunit,
                            check_twisted, normalize_sigma, product_checks)
-from .partial_crossed import partial_pipeline, partial_report, theorem_equivalence_suite
-from .unified_product import (check_be, check_extending_datum,
+from .partial_crossed import (TwistedPartialAction, partial_pipeline, partial_report,
+                              theorem_equivalence_suite)
+from .unified_product import (PreHopfObject, check_be, check_extending_datum,
                               check_nabla_identity, check_pre_hopf,
                               lemma_identities_report, multiplicativity_report,
                               theorem_equivalence_suite_unified, unified_pipeline)
@@ -59,16 +60,6 @@ def _load(path: str) -> tuple[StructureFile, bytes]:
     return sf, raw
 
 
-def _select(table: dict, name: str | None, what: str, path: str) -> list[tuple[str, object]]:
-    if name is not None:
-        if name not in table:
-            _fail_input(f"{path}: no {what} block named {name!r}")
-        return [(name, table[name])]
-    if not table:
-        _fail_input(f"{path}: no {what} block")
-    return list(table.items())
-
-
 def _finish(report: Report, raw: bytes, report_path: str | None) -> None:
     for record in report.records:
         click.echo(format_record(record))
@@ -85,10 +76,26 @@ def _finish(report: Report, raw: bytes, report_path: str | None) -> None:
     sys.exit(0 if report.passed else 1)
 
 
-def _merge(report: Report, sub: Report, subject: str) -> None:
-    report.records.extend(sub.records)
-    for key, value in sub.facts.items():
-        report.facts[f"{subject}.{key}"] = value
+def _run(path: str, report_path: str | None, name: str | None, what: str,
+         blocks, check) -> None:
+    """Check every block of ``path`` that ``blocks(sf)`` lists and ``name``
+    selects, each with ``check``, then print and exit as ``_finish`` does.
+
+    Each record is stamped with the name of its block, and each fact is
+    prefixed with it.
+    """
+    sf, raw = _load(path)
+    click.echo(f"field {sf.field}")
+    selected = [(block, decl) for block, decl in blocks(sf) if name is None or block == name]
+    if not selected:
+        _fail_input(f"{path}: no {what} block"
+                    + (f" named {name!r}" if name is not None else ""))
+    report = Report()
+    for block, decl in selected:
+        sub = check(decl)
+        report.records.extend(replace(r, subject=block) for r in sub.records)
+        report.facts.update((f"{block}.{key}", value) for key, value in sub.facts.items())
+    _finish(report, raw, report_path)
 
 
 _path_argument = click.argument("path", type=click.Path(exists=False))
@@ -104,48 +111,52 @@ def main() -> None:
     """Exact checkers for weak, partial and unified crossed products."""
 
 
+def _structures(sf: StructureFile) -> list[tuple[str, object]]:
+    tables = {"algebra": sf.algebras, "coalgebra": sf.coalgebras, "bialgebra": sf.bialgebras,
+              "hopf": sf.hopf_algebras, "prehopf": sf.prehopf_objects}
+    return [(block, tables[kind][block]) for kind, block in sf.order if kind in tables]
+
+
+def _structure_report(s) -> Report:
+    """The axioms of one structure; a bialgebra or Hopf algebra also gets
+    those of its algebra and its coalgebra, first."""
+    if isinstance(s, AlgebraData):
+        return check_algebra(s)
+    if isinstance(s, CoalgebraData):
+        return check_coalgebra(s)
+    if isinstance(s, PreHopfObject):
+        return check_pre_hopf(s)
+    report = check_algebra(s.algebra).extend(check_coalgebra(s.coalgebra))
+    return report.extend(check_hopf(s) if isinstance(s, HopfData) else check_bialgebra(s))
+
+
 @main.command("check-structure")
 @_path_argument
 @_report_option
 @_name_option
 def check_structure(path: str, report_path: str | None, name: str | None) -> None:
     """Validate the axioms of every declared structure."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    checked = False
-    for kind, block_name in sf.order:
-        if name is not None and block_name != name:
-            continue
-        if kind == "algebra":
-            report.extend(check_algebra(sf.algebras[block_name], block_name))
-        elif kind == "coalgebra":
-            report.extend(check_coalgebra(sf.coalgebras[block_name], block_name))
-        elif kind == "bialgebra":
-            b = sf.bialgebras[block_name]
-            report.extend(check_algebra(b.algebra, block_name))
-            report.extend(check_coalgebra(b.coalgebra, block_name))
-            report.extend(check_bialgebra(b, block_name))
-        elif kind == "hopf":
-            h = sf.hopf_algebras[block_name]
-            report.extend(check_algebra(h.algebra, block_name))
-            report.extend(check_coalgebra(h.coalgebra, block_name))
-            report.extend(check_hopf(h, block_name))
-        elif kind == "prehopf":
-            report.extend(check_pre_hopf(sf.prehopf_objects[block_name], block_name))
-        else:
-            continue
-        checked = True
-    if not checked:
-        _fail_input(f"{path}: no structure block" + (f" named {name!r}" if name else ""))
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "structure", _structures, _structure_report)
 
 
-def _gates(system, subject: str) -> Report:
+def _gates(system) -> Report:
     """The compatibility, twisted and cocycle records of a declared system."""
-    report = Report()
-    for check in (check_compat, check_twisted, check_cocycle):
-        report.extend(check(system, subject))
+    return Report([r for check in (check_compat, check_twisted, check_cocycle)
+                   for r in check(system).records])
+
+
+def _wcp_check(decl) -> Report:
+    system = decl.system
+    report = _gates(system)
+    report.add(check_nabla(system, system.nabla)["wcp.nabla_idempotent"])
+    report.extend(check_normalized(system))
+    if decl.preunit is not None and report.passed:
+        try:
+            product = build_products(system)
+        except PreconditionError as exc:
+            report.add(exc.record)
+        else:
+            report.extend(check_preunit(product, decl.preunit))
     return report
 
 
@@ -155,23 +166,33 @@ def _gates(system, subject: str) -> Report:
 @_name_option
 def wcp_check(path: str, report_path: str | None, name: str | None) -> None:
     """Check the crossed-system conditions without building anything."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        system = decl.system
-        sub = _gates(system, block_name)
-        sub.add(check_nabla(system, system.nabla, block_name)["wcp.nabla_idempotent"])
-        sub.extend(check_normalized(system, block_name))
-        if decl.preunit is not None and sub.passed:
-            try:
-                product = build_products(system)
-            except PreconditionError as exc:
-                sub.add(replace(exc.record, subject=block_name))
-            else:
-                sub.extend(check_preunit(product, decl.preunit, block_name))
-        report.extend(sub)
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "crossed_system",
+         lambda sf: sf.crossed_systems.items(), _wcp_check)
+
+
+def _wcp_build(decl) -> Report:
+    system = decl.system
+    report = _gates(system)
+    if not report.passed:
+        return report
+    try:
+        normalized = normalize_sigma(system)
+        report.facts["sigma_normalized_changed"] = normalized is not system
+        report.extend(check_normalized(normalized))
+        product = build_products(normalized)
+    except PreconditionError as exc:
+        # every error raised on this path carries its failed record
+        report.add(exc.record)
+        return report
+    report.extend(product_checks(product))
+    report.facts["nabla_rank"] = product.splitting.mid.total
+    report.facts["product_dim"] = product.dim
+    if decl.preunit is not None:
+        pre = check_preunit(product, decl.preunit)
+        report.extend(pre)
+        if pre.passed:
+            report.extend(algebra_checks(build_algebra(product, decl.preunit)))
+    return report
 
 
 @main.command("wcp-build")
@@ -180,36 +201,8 @@ def wcp_check(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
     """Build the crossed product, normalizing the cocycle map if needed."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    for block_name, decl in _select(sf.crossed_systems, name, "crossed_system", path):
-        system = decl.system
-        gates = _gates(system, block_name)
-        report.records.extend(gates.records)
-        if not gates.passed:
-            continue
-        try:
-            normalized = normalize_sigma(system)
-            report.facts[f"{block_name}.sigma_normalized_changed"] = normalized is not system
-            report.extend(check_normalized(normalized, block_name))
-            product = build_products(normalized)
-        except PreconditionError as exc:
-            # every error raised on this path carries its failed record
-            report.add(replace(exc.record, subject=block_name))
-            continue
-        sub = Report()
-        sub.extend(product_checks(product, block_name))
-        sub.facts["nabla_rank"] = product.splitting.mid.total
-        sub.facts["product_dim"] = product.dim
-        if decl.preunit is not None:
-            pre = check_preunit(product, decl.preunit, block_name)
-            sub.extend(pre)
-            if pre.passed:
-                completed = build_algebra(product, decl.preunit)
-                sub.extend(algebra_checks(completed, block_name))
-        _merge(report, sub, block_name)
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "crossed_system",
+         lambda sf: sf.crossed_systems.items(), _wcp_build)
 
 
 @main.command("partial-check")
@@ -218,12 +211,8 @@ def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def partial_check(path: str, report_path: str | None, name: str | None) -> None:
     """Check the twisted-partial-action conditions."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    for block_name, decl in _select(sf.partial_actions, name, "partial_action", path):
-        report.extend(partial_report(decl.action, block_name))
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "partial_action",
+         lambda sf: sf.partial_actions.items(), lambda decl: partial_report(decl.action))
 
 
 @main.command("partial-build")
@@ -232,13 +221,16 @@ def partial_check(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def partial_build(path: str, report_path: str | None, name: str | None) -> None:
     """Build the partial crossed product on the projector image."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
+    _run(path, report_path, name, "partial_action",
+         lambda sf: sf.partial_actions.items(), lambda decl: partial_pipeline(decl.action)[0])
+
+
+def _unified_check(decl) -> Report:
     report = Report()
-    for block_name, decl in _select(sf.partial_actions, name, "partial_action", path):
-        sub, _product = partial_pipeline(decl.action, block_name)
-        _merge(report, sub, block_name)
-    _finish(report, raw, report_path)
+    for check in (check_extending_datum, multiplicativity_report, lemma_identities_report,
+                  check_be, check_nabla_identity):
+        report.extend(check(decl.datum))
+    return report
 
 
 @main.command("unified-check")
@@ -247,17 +239,8 @@ def partial_build(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def unified_check(path: str, report_path: str | None, name: str | None) -> None:
     """Check the extending-datum conditions and BE1..BE7."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    for block_name, decl in _select(sf.extending_data, name, "extending_datum", path):
-        d = decl.datum
-        report.extend(check_extending_datum(d, block_name))
-        report.extend(multiplicativity_report(d, block_name))
-        report.extend(lemma_identities_report(d, block_name))
-        report.extend(check_be(d, block_name))
-        report.extend(check_nabla_identity(d, block_name))
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "extending_datum",
+         lambda sf: sf.extending_data.items(), _unified_check)
 
 
 @main.command("unified-build")
@@ -266,13 +249,19 @@ def unified_check(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def unified_build(path: str, report_path: str | None, name: str | None) -> None:
     """Build the unified product on the full tensor space."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    for block_name, decl in _select(sf.extending_data, name, "extending_datum", path):
-        sub, _product = unified_pipeline(decl.datum, block_name)
-        _merge(report, sub, block_name)
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "extending_datum",
+         lambda sf: sf.extending_data.items(), lambda decl: unified_pipeline(decl.datum)[0])
+
+
+def _suite_inputs(sf: StructureFile) -> list[tuple[str, object]]:
+    return ([(block, decl.action) for block, decl in sf.partial_actions.items()]
+            + [(block, decl.datum) for block, decl in sf.extending_data.items()])
+
+
+def _suite(data) -> Report:
+    if isinstance(data, TwistedPartialAction):
+        return theorem_equivalence_suite(data)
+    return theorem_equivalence_suite_unified(data)
 
 
 @main.command("equivalence-suite")
@@ -281,24 +270,7 @@ def unified_build(path: str, report_path: str | None, name: str | None) -> None:
 @_name_option
 def equivalence_suite(path: str, report_path: str | None, name: str | None) -> None:
     """Cross-check the partial and unified conditions against the quadruple ones."""
-    sf, raw = _load(path)
-    click.echo(f"field {sf.field}")
-    report = Report()
-    found = False
-    for block_name, decl in sf.partial_actions.items():
-        if name is not None and block_name != name:
-            continue
-        report.extend(theorem_equivalence_suite(decl.action, block_name))
-        found = True
-    for block_name, decl in sf.extending_data.items():
-        if name is not None and block_name != name:
-            continue
-        report.extend(theorem_equivalence_suite_unified(decl.datum, block_name))
-        found = True
-    if not found:
-        _fail_input(f"{path}: no partial_action or extending_datum block"
-                    + (f" named {name!r}" if name else ""))
-    _finish(report, raw, report_path)
+    _run(path, report_path, name, "partial_action or extending_datum", _suite_inputs, _suite)
 
 
 if __name__ == "__main__":

@@ -10,13 +10,14 @@ the image of the induced projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import _elements as el
 from .fields import FieldSpec
 from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, tensor
-from .reporting import Report, equality_record, memoised, predicate_record
+from .reporting import (CheckRecord, Report, anchor_for, equality_record, memoised,
+                        predicate_record)
 from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
                          product_algebra)
 from .weak_crossed import (CrossedSystem, PreconditionError, WeakCrossedProduct,
@@ -71,7 +72,7 @@ def induced_sigma(act: TwistedPartialAction) -> LinMap:
 
 
 @memoised
-def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
+def lemma_report(act: TwistedPartialAction) -> Report:
     """Identities tying the induced maps back to (phi, omega).
 
     These hold for arbitrary (phi, omega) as long as H really is a Hopf
@@ -85,15 +86,13 @@ def lemma_report(act: TwistedPartialAction, subject: str = "") -> Report:
     report.add(equality_record(
         "partial.lemma_psi_comul",
         tensor(psi, idh) @ tensor(idh, c_ha) @ tensor(h.comul, ida),
-        tensor(ida, h.comul) @ psi, subject))
+        tensor(ida, h.comul) @ psi))
     report.add(equality_record(
         "partial.lemma_sigma_comul",
         after_tensor_comul(tensor(sigma, h.mul), h, h),
-        tensor(ida, h.comul) @ sigma, subject))
-    report.add(equality_record(
-        "partial.lemma_psi_counit", tensor(ida, eps) @ psi, act.phi, subject))
-    report.add(equality_record(
-        "partial.lemma_sigma_counit", tensor(ida, eps) @ sigma, act.omega, subject))
+        tensor(ida, h.comul) @ sigma))
+    report.add(equality_record("partial.lemma_psi_counit", tensor(ida, eps) @ psi, act.phi))
+    report.add(equality_record("partial.lemma_sigma_counit", tensor(ida, eps) @ sigma, act.omega))
     return report
 
 
@@ -138,35 +137,45 @@ def _twist_sides(act: TwistedPartialAction, composite: bool):
     return lhs, rhs
 
 
-def _absorb_sides(act: TwistedPartialAction, _composite: bool):
+def _absorb_sides(act: TwistedPartialAction):
     a = act.algebra
     return act.omega, a.mul @ tensor(a.id_map, act.phi) @ tensor(act.system.sigma, a.unit)
 
 
-def check_partial_action(act: TwistedPartialAction, subject: str = "") -> Report:
+@memoised
+def _induced_form(act: TwistedPartialAction, sides) -> Report:
+    """The induced-map form of the partial twisted (``_twist_sides``) or
+    cocycle (``_cocycle_sides``) condition, shared by its check and the suite."""
+    check_id = "partial.twist" if sides is _twist_sides else "partial.cocycle"
+    return Report([equality_record(check_id, *sides(act, False))])
+
+
+def _both_forms(composite: CheckRecord, induced: CheckRecord) -> list[CheckRecord]:
+    """Both forms of a condition and the record of their agreement."""
+    return [composite, induced, predicate_record(
+        f"{induced.check}_forms_agree", composite.status == induced.status,
+        note=f"composite {composite.status}, induced {induced.status}")]
+
+
+def check_partial_action(act: TwistedPartialAction) -> Report:
     """The defining conditions, in the composite form and the induced-map form.
 
     Both forms of each condition are evaluated and their agreement is
     asserted as its own record, guarding the wiring of the induced maps.
     The two forms of the cocycle absorption share sigma, whose composite
-    form is its definition, so they differ only in their check ids.
+    form is its definition, so they are one evaluation under two check ids.
     """
     h, ida = act.hopf, act.algebra.id_map
-    report = Report()
-    report.add(equality_record("partial.identity",
-                               act.phi @ tensor(h.unit, ida), ida, subject))
-    for name, sides in (("mult", _action_mult_sides),
-                        ("twist", _twist_sides),
-                        ("cocycle_absorb", _absorb_sides)):
-        composite = equality_record(f"partial.{name}_composite", *sides(act, True), subject=subject)
-        rewritten = equality_record(f"partial.{name}", *sides(act, False), subject=subject)
-        report.add(composite)
-        report.add(rewritten)
-        report.add(predicate_record(
-            f"partial.{name}_forms_agree",
-            composite.status == rewritten.status, subject=subject,
-            note=f"composite {composite.status}, induced {rewritten.status}"))
-    return report
+    absorb = equality_record("partial.cocycle_absorb", *_absorb_sides(act))
+    composite_id = "partial.cocycle_absorb_composite"
+    return Report([
+        equality_record("partial.identity", act.phi @ tensor(h.unit, ida), ida),
+        *_both_forms(equality_record("partial.mult_composite", *_action_mult_sides(act, True)),
+                     equality_record("partial.mult", *_action_mult_sides(act, False))),
+        *_both_forms(equality_record("partial.twist_composite", *_twist_sides(act, True)),
+                     _induced_form(act, _twist_sides).records[0]),
+        *_both_forms(replace(absorb, check=composite_id, anchor=anchor_for(composite_id)),
+                     absorb)])
 
 
 def _cocycle_sides(act: TwistedPartialAction, composite: bool):
@@ -182,32 +191,22 @@ def _cocycle_sides(act: TwistedPartialAction, composite: bool):
     return lhs, rhs
 
 
-def check_units_and_cocycle(act: TwistedPartialAction, subject: str = "") -> Report:
+def check_units_and_cocycle(act: TwistedPartialAction) -> Report:
     """Unit conditions on omega and the partial cocycle condition in both forms."""
     h, a, idh, _ = _maps(act)
     unit_target = act.phi @ tensor(idh, a.unit)
-    report = Report()
-    report.add(equality_record("partial.unit_right",
-                               act.omega @ tensor(idh, h.unit), unit_target, subject))
-    report.add(equality_record("partial.unit_left",
-                               act.omega @ tensor(h.unit, idh), unit_target, subject))
-    composite = equality_record("partial.cocycle_composite",
-                                *_cocycle_sides(act, True), subject=subject)
-    rewritten = equality_record("partial.cocycle", *_cocycle_sides(act, False), subject=subject)
-    report.add(composite)
-    report.add(rewritten)
-    report.add(predicate_record(
-        "partial.cocycle_forms_agree",
-        composite.status == rewritten.status, subject=subject,
-        note=f"composite {composite.status}, induced {rewritten.status}"))
-    return report
+    return Report([
+        equality_record("partial.unit_right", act.omega @ tensor(idh, h.unit), unit_target),
+        equality_record("partial.unit_left", act.omega @ tensor(h.unit, idh), unit_target),
+        *_both_forms(equality_record("partial.cocycle_composite", *_cocycle_sides(act, True)),
+                     _induced_form(act, _cocycle_sides).records[0])])
 
 
-def partial_report(act: TwistedPartialAction, subject: str = "") -> Report:
+def partial_report(act: TwistedPartialAction) -> Report:
     report = Report()
-    report.extend(check_partial_action(act, subject))
-    report.extend(check_units_and_cocycle(act, subject))
-    report.extend(lemma_report(act, subject))
+    report.extend(check_partial_action(act))
+    report.extend(check_units_and_cocycle(act))
+    report.extend(lemma_report(act))
     return report
 
 
@@ -271,28 +270,25 @@ def sweedler_product(act: TwistedPartialAction) -> LinMap:
     return LinMap.from_dict(field, source, target, {k: v for k, v in values.items() if v})
 
 
-def partial_pipeline(act: TwistedPartialAction,
-                     subject: str = "") -> tuple[Report, WeakCrossedProduct | None]:
+def partial_pipeline(act: TwistedPartialAction) -> tuple[Report, WeakCrossedProduct | None]:
     """All §-level checks plus, when they pass, the built crossed product."""
-    report = partial_report(act, subject)
+    report = partial_report(act)
     if not report.passed:
         return report, None
     system = induce_psi_sigma(act)
-    report.extend(check_normalized(system, subject))
+    report.extend(check_normalized(system))
     if not report.passed:
         return report, None
     product = build_products(system)
-    report.extend(product_checks(product, subject))
-    report.add(equality_record("partial.nabla_unit_form",
-                               product.nabla, nabla_unit_form(act), subject))
-    report.add(equality_record("partial.product_oracle",
-                               product.mu_tensor, sweedler_product(act), subject))
+    report.extend(product_checks(product))
+    report.add(equality_record("partial.nabla_unit_form", product.nabla, nabla_unit_form(act)))
+    report.add(equality_record("partial.product_oracle", product.mu_tensor, sweedler_product(act)))
     nu = tensor(act.algebra.unit, act.hopf.unit)
-    report.extend(check_preunit(product, nu, subject))
+    report.extend(check_preunit(product, nu))
     if not report.passed:
         return report, None
     product = build_algebra(product, nu)
-    report.extend(algebra_checks(product, subject))
+    report.extend(algebra_checks(product))
     report.facts["nabla_rank"] = product.splitting.mid.total
     report.facts["product_dim"] = product.dim
     return report, product
@@ -306,7 +302,7 @@ def build_partial_crossed_product(act: TwistedPartialAction) -> WeakCrossedProdu
     return product
 
 
-def theorem_equivalence_suite(act: TwistedPartialAction, subject: str = "") -> Report:
+def theorem_equivalence_suite(act: TwistedPartialAction) -> Report:
     """Status equality between the partial conditions and the quadruple conditions.
 
     The partial twisted condition must hold exactly when the induced pair
@@ -314,17 +310,17 @@ def theorem_equivalence_suite(act: TwistedPartialAction, subject: str = "") -> R
     condition; both directions are asserted as one status comparison per
     theorem, on valid and on broken inputs alike.
     """
-    partial_twist = equality_record("partial.twist", *_twist_sides(act, False)).passed
-    partial_cocycle = equality_record("partial.cocycle", *_cocycle_sides(act, False)).passed
+    partial_twist = _induced_form(act, _twist_sides).passed
+    partial_cocycle = _induced_form(act, _cocycle_sides).passed
     eq_twisted = check_twisted(act.system).passed
     eq_cocycle = check_cocycle(act.system).passed
     report = Report()
     report.add(predicate_record(
-        "partial.thm_twisted_equiv", partial_twist == eq_twisted, subject=subject,
+        "partial.thm_twisted_equiv", partial_twist == eq_twisted,
         note=f"partial side {'pass' if partial_twist else 'fail'}, "
              f"quadruple side {'pass' if eq_twisted else 'fail'}"))
     report.add(predicate_record(
-        "partial.thm_cocycle_equiv", partial_cocycle == eq_cocycle, subject=subject,
+        "partial.thm_cocycle_equiv", partial_cocycle == eq_cocycle,
         note=f"partial side {'pass' if partial_cocycle else 'fail'}, "
              f"quadruple side {'pass' if eq_cocycle else 'fail'}"))
     return report

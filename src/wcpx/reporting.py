@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .linmaps import LinMap, first_difference
 
@@ -167,7 +167,7 @@ class CheckRecord:
     check: str
     anchor: str
     status: str
-    subject: str = ""
+    subject: str = ""  # the block of a structure file the record came from; set by the CLI
     witness: Witness | None = None
     note: str = ""
 
@@ -202,9 +202,6 @@ class Report:
                 return record
         raise KeyError(check_id)
 
-    def status(self, check_id: str) -> str:
-        return self[check_id].status
-
     @property
     def passed(self) -> bool:
         return all(r.status != FAIL for r in self.records)
@@ -224,39 +221,35 @@ class Report:
 def memoised(check):
     """Evaluate a report function once per input.
 
-    ``check(obj, *args, subject="")`` checks a frozen dataclass ``obj``.
-    Its records, evaluated without a subject, are kept on ``obj`` itself,
-    keyed by the function and the identity of each other argument; every
-    call returns a fresh Report carrying its own subject.  A new object,
-    such as one made by ``dataclasses.replace``, starts with no records.
-    Two threads that race on one object at worst evaluate a pure check twice.
+    ``check(obj, *args)`` checks a frozen dataclass ``obj``.  Its records
+    are kept on ``obj`` itself, keyed by the function and the identity of
+    each other argument; every call returns a fresh Report of those records.
+    A new object, such as one made by ``dataclasses.replace``, starts with
+    no records.  Two threads that race on one object at worst evaluate a
+    pure check twice.
     """
-    others = check.__code__.co_argcount - 2  # the arguments between obj and subject
-
     @functools.wraps(check)
-    def wrapper(obj, *args, subject: str = "") -> Report:
-        if len(args) > others:
-            args, (subject,) = args[:others], args[others:]
+    def wrapper(obj, *args) -> Report:
         memo = obj.__dict__.setdefault("_records", {})
         key = (check, *map(id, args))
         if key not in memo:
             # args stay referenced next to their records, so no id is reused
             memo[key] = (args, check(obj, *args).records)
-        return Report([replace(r, subject=subject) for r in memo[key][1]])
+        return Report(list(memo[key][1]))
 
     return wrapper
 
 
-def equality_record(check_id: str, lhs: LinMap, rhs: LinMap, subject: str = "") -> CheckRecord:
+def equality_record(check_id: str, lhs: LinMap, rhs: LinMap) -> CheckRecord:
     """Compare two maps exactly; on failure carry the first differing position."""
     anchor = anchor_for(check_id)
     if lhs.source.total != rhs.source.total or lhs.target.total != rhs.target.total:
-        return CheckRecord(check_id, anchor, FAIL, subject=subject,
+        return CheckRecord(check_id, anchor, FAIL,
                            note=f"shape mismatch: {lhs.source}->{lhs.target} "
                                 f"vs {rhs.source}->{rhs.target}")
     diff = first_difference(lhs, rhs)
     if diff is None:
-        return CheckRecord(check_id, anchor, PASS, subject=subject)
+        return CheckRecord(check_id, anchor, PASS)
     witness = Witness(
         row=diff.row,
         col=diff.col,
@@ -265,16 +258,15 @@ def equality_record(check_id: str, lhs: LinMap, rhs: LinMap, subject: str = "") 
         left=lhs.field.format(diff.left),
         right=lhs.field.format(diff.right),
     )
-    return CheckRecord(check_id, anchor, FAIL, subject=subject, witness=witness)
+    return CheckRecord(check_id, anchor, FAIL, witness=witness)
 
 
-def predicate_record(check_id: str, ok: bool, subject: str = "", note: str = "") -> CheckRecord:
-    return CheckRecord(check_id, anchor_for(check_id), PASS if ok else FAIL,
-                       subject=subject, note=note)
+def predicate_record(check_id: str, ok: bool, note: str = "") -> CheckRecord:
+    return CheckRecord(check_id, anchor_for(check_id), PASS if ok else FAIL, note=note)
 
 
-def skipped_record(check_id: str, subject: str = "", note: str = "") -> CheckRecord:
-    return CheckRecord(check_id, anchor_for(check_id), SKIPPED, subject=subject, note=note)
+def skipped_record(check_id: str, note: str = "") -> CheckRecord:
+    return CheckRecord(check_id, anchor_for(check_id), SKIPPED, note=note)
 
 
 def _witness_json(w: Witness) -> dict:

@@ -142,26 +142,26 @@ class HopfData:
         return self.bialgebra.comul
 
 
-def check_algebra(a: AlgebraData, subject: str = "") -> Report:
+def check_algebra(a: AlgebraData) -> Report:
     """Unit laws and associativity, each reported separately."""
     ida = a.id_map
     report = Report()
-    report.add(equality_record("algebra.unit_left", a.mul @ tensor(a.unit, ida), ida, subject))
-    report.add(equality_record("algebra.unit_right", a.mul @ tensor(ida, a.unit), ida, subject))
+    report.add(equality_record("algebra.unit_left", a.mul @ tensor(a.unit, ida), ida))
+    report.add(equality_record("algebra.unit_right", a.mul @ tensor(ida, a.unit), ida))
     report.add(equality_record("algebra.assoc",
                                a.mul @ tensor(a.mul, ida),
-                               a.mul @ tensor(ida, a.mul), subject))
+                               a.mul @ tensor(ida, a.mul)))
     return report
 
 
-def check_coalgebra(c: CoalgebraData, subject: str = "") -> Report:
+def check_coalgebra(c: CoalgebraData) -> Report:
     idc = c.id_map
     report = Report()
-    report.add(equality_record("coalgebra.counit_left", tensor(c.counit, idc) @ c.comul, idc, subject))
-    report.add(equality_record("coalgebra.counit_right", tensor(idc, c.counit) @ c.comul, idc, subject))
+    report.add(equality_record("coalgebra.counit_left", tensor(c.counit, idc) @ c.comul, idc))
+    report.add(equality_record("coalgebra.counit_right", tensor(idc, c.counit) @ c.comul, idc))
     report.add(equality_record("coalgebra.coassoc",
                                tensor(c.comul, idc) @ c.comul,
-                               tensor(idc, c.comul) @ c.comul, subject))
+                               tensor(idc, c.comul) @ c.comul))
     return report
 
 
@@ -204,32 +204,32 @@ def after_tensor_comul(f: LinMap, c, d) -> LinMap:
             @ tensor(c.comul, d.comul))
 
 
-def check_bialgebra(b: BialgebraData, subject: str = "") -> Report:
+def check_bialgebra(b: BialgebraData) -> Report:
     """Compatibility: counit and coproduct are morphisms of algebras."""
     report = Report()
     report.add(equality_record("bialgebra.comul_mult",
                                b.comul @ b.mul,
-                               product_of_coproducts(b.mul, b.comul, b.dim), subject))
+                               product_of_coproducts(b.mul, b.comul, b.dim)))
     report.add(equality_record("bialgebra.counit_mult",
                                b.counit @ b.mul,
-                               tensor(b.counit, b.counit), subject))
+                               tensor(b.counit, b.counit)))
     report.add(equality_record("bialgebra.comul_unit",
                                b.comul @ b.unit,
-                               tensor(b.unit, b.unit), subject))
+                               tensor(b.unit, b.unit)))
     report.add(equality_record("bialgebra.counit_unit",
                                b.counit @ b.unit,
-                               identity(b.field, UNIT_SHAPE), subject))
+                               identity(b.field, UNIT_SHAPE)))
     return report
 
 
-def check_hopf(h: HopfData, subject: str = "") -> Report:
+def check_hopf(h: HopfData) -> Report:
     idh = h.algebra.id_map
     eta_eps = h.unit @ h.counit
-    report = check_bialgebra(h.bialgebra, subject)
+    report = check_bialgebra(h.bialgebra)
     report.add(equality_record("hopf.antipode_left",
-                               h.mul @ tensor(h.antipode, idh) @ h.comul, eta_eps, subject))
+                               h.mul @ tensor(h.antipode, idh) @ h.comul, eta_eps))
     report.add(equality_record("hopf.antipode_right",
-                               h.mul @ tensor(idh, h.antipode) @ h.comul, eta_eps, subject))
+                               h.mul @ tensor(idh, h.antipode) @ h.comul, eta_eps))
     return report
 
 

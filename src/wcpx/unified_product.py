@@ -59,23 +59,23 @@ def pre_hopf_of(b: BialgebraData) -> PreHopfObject:
     return PreHopfObject(b.field, b.dim, b.unit, b.mul, b.counit, b.comul)
 
 
-def check_pre_hopf(h: PreHopfObject, subject: str = "") -> Report:
+def check_pre_hopf(h: PreHopfObject) -> Report:
     """Coalgebra axioms, grouplike unit, and the unit laws for the product."""
     idh = h.id_map
     report = Report()
     report.add(equality_record("unified.h_counit_left",
-                               tensor(h.counit, idh) @ h.comul, idh, subject))
+                               tensor(h.counit, idh) @ h.comul, idh))
     report.add(equality_record("unified.h_counit_right",
-                               tensor(idh, h.counit) @ h.comul, idh, subject))
+                               tensor(idh, h.counit) @ h.comul, idh))
     report.add(equality_record("unified.h_coassoc",
                                tensor(h.comul, idh) @ h.comul,
-                               tensor(idh, h.comul) @ h.comul, subject))
+                               tensor(idh, h.comul) @ h.comul))
     report.add(equality_record("unified.h_comul_unit",
-                               h.comul @ h.unit, tensor(h.unit, h.unit), subject))
+                               h.comul @ h.unit, tensor(h.unit, h.unit)))
     report.add(equality_record("unified.h_unit_left",
-                               h.mul @ tensor(h.unit, idh), idh, subject))
+                               h.mul @ tensor(h.unit, idh), idh))
     report.add(equality_record("unified.h_unit_right",
-                               h.mul @ tensor(idh, h.unit), idh, subject))
+                               h.mul @ tensor(idh, h.unit), idh))
     return report
 
 
@@ -127,61 +127,60 @@ def induced_sigma(d: ExtendingDatum) -> LinMap:
     return after_tensor_comul(tensor(d.tau, d.hobj.mul), d.hobj, d.hobj)
 
 
-def check_extending_datum(d: ExtendingDatum, subject: str = "") -> Report:
+def check_extending_datum(d: ExtendingDatum) -> Report:
     """Pre-Hopf axioms, coalgebra-morphism conditions, normalizing conditions."""
     a, h, ida, idh = _maps(d)
     eps_pair = tensor(h.counit, a.counit)
-    report = check_pre_hopf(h, subject)
+    report = check_pre_hopf(h)
     report.add(equality_record("unified.phi_h_comul",
                                after_tensor_comul(tensor(d.phi_h, d.phi_h), h, a),
-                               h.comul @ d.phi_h, subject))
+                               h.comul @ d.phi_h))
     report.add(equality_record("unified.phi_h_counit",
-                               h.counit @ d.phi_h, eps_pair, subject))
+                               h.counit @ d.phi_h, eps_pair))
     report.add(equality_record("unified.phi_a_comul",
                                after_tensor_comul(tensor(d.phi_a, d.phi_a), h, a),
-                               a.comul @ d.phi_a, subject))
+                               a.comul @ d.phi_a))
     report.add(equality_record("unified.phi_a_counit",
-                               a.counit @ d.phi_a, eps_pair, subject))
+                               a.counit @ d.phi_a, eps_pair))
     report.add(equality_record("unified.tau_comul",
                                after_tensor_comul(tensor(d.tau, d.tau), h, h),
-                               a.comul @ d.tau, subject))
+                               a.comul @ d.tau))
     report.add(equality_record("unified.tau_counit",
-                               a.counit @ d.tau, tensor(h.counit, h.counit), subject))
+                               a.counit @ d.tau, tensor(h.counit, h.counit)))
     report.add(equality_record("unified.norm_action_unit",
-                               d.phi_a @ tensor(idh, a.unit), a.unit @ h.counit, subject))
+                               d.phi_a @ tensor(idh, a.unit), a.unit @ h.counit))
     report.add(equality_record("unified.norm_action_identity",
-                               d.phi_a @ tensor(h.unit, ida), ida, subject))
+                               d.phi_a @ tensor(h.unit, ida), ida))
     report.add(equality_record("unified.norm_module_counit",
-                               d.phi_h @ tensor(h.unit, ida), h.unit @ a.counit, subject))
+                               d.phi_h @ tensor(h.unit, ida), h.unit @ a.counit))
     report.add(equality_record("unified.norm_module_identity",
-                               d.phi_h @ tensor(idh, a.unit), idh, subject))
+                               d.phi_h @ tensor(idh, a.unit), idh))
     report.add(equality_record("unified.norm_pairing_right",
-                               d.tau @ tensor(idh, h.unit), a.unit @ h.counit, subject))
+                               d.tau @ tensor(idh, h.unit), a.unit @ h.counit))
     report.add(equality_record("unified.norm_pairing_left",
-                               d.tau @ tensor(h.unit, idh), a.unit @ h.counit, subject))
+                               d.tau @ tensor(h.unit, idh), a.unit @ h.counit))
     return report
 
 
 @memoised
-def multiplicativity_report(d: ExtendingDatum, subject: str = "") -> Report:
+def multiplicativity_report(d: ExtendingDatum) -> Report:
     """Multiplicativity of the extending coproduct/counit; right module laws."""
     a, h, ida, idh = _maps(d)
     report = Report()
     report.add(equality_record("unified.h_comul_mult",
-                               h.comul @ h.mul, product_of_coproducts(h.mul, h.comul, h.dim),
-                               subject))
+                               h.comul @ h.mul, product_of_coproducts(h.mul, h.comul, h.dim)))
     report.add(equality_record("unified.h_counit_mult",
-                               h.counit @ h.mul, tensor(h.counit, h.counit), subject))
+                               h.counit @ h.mul, tensor(h.counit, h.counit)))
     report.add(equality_record("unified.module_unit",
-                               d.phi_h @ tensor(idh, a.unit), idh, subject))
+                               d.phi_h @ tensor(idh, a.unit), idh))
     report.add(equality_record("unified.module_assoc",
                                d.phi_h @ tensor(d.phi_h, ida),
-                               d.phi_h @ tensor(idh, a.mul), subject))
+                               d.phi_h @ tensor(idh, a.mul)))
     return report
 
 
 @memoised
-def check_be(d: ExtendingDatum, subject: str = "") -> Report:
+def check_be(d: ExtendingDatum) -> Report:
     """The seven extension conditions, in their morphism form."""
     a, h, ida, idh = _maps(d)
     psi, sigma = d.system.psi, d.system.sigma
@@ -189,30 +188,30 @@ def check_be(d: ExtendingDatum, subject: str = "") -> Report:
     report = Report()
     report.add(equality_record("unified.be1",
                                h.mul @ tensor(h.mul, idh),
-                               h.mul @ tensor(d.phi_h, idh) @ tensor(idh, sigma), subject))
+                               h.mul @ tensor(d.phi_h, idh) @ tensor(idh, sigma)))
     report.add(equality_record("unified.be2",
                                d.phi_a @ tensor(idh, a.mul),
-                               a.mul @ tensor(ida, d.phi_a) @ tensor(psi, ida), subject))
+                               a.mul @ tensor(ida, d.phi_a) @ tensor(psi, ida)))
     report.add(equality_record("unified.be3",
                                d.phi_h @ tensor(h.mul, ida),
-                               h.mul @ tensor(d.phi_h, idh) @ tensor(idh, psi), subject))
+                               h.mul @ tensor(d.phi_h, idh) @ tensor(idh, psi)))
     report.add(equality_record("unified.be4",
                                a.mul @ tensor(ida, d.tau) @ tensor(psi, idh) @ tensor(idh, psi),
-                               a.mul @ tensor(ida, d.phi_a) @ tensor(sigma, ida), subject))
+                               a.mul @ tensor(ida, d.phi_a) @ tensor(sigma, ida)))
     report.add(equality_record("unified.be5",
                                a.mul @ tensor(ida, d.tau) @ tensor(psi, idh) @ tensor(idh, sigma),
-                               a.mul @ tensor(ida, d.tau) @ tensor(sigma, idh), subject))
+                               a.mul @ tensor(ida, d.tau) @ tensor(sigma, idh)))
     report.add(equality_record("unified.be6",
                                c_ah @ psi,
-                               after_tensor_comul(tensor(d.phi_h, d.phi_a), h, a), subject))
+                               after_tensor_comul(tensor(d.phi_h, d.phi_a), h, a)))
     report.add(equality_record("unified.be7",
                                c_ah @ sigma,
-                               after_tensor_comul(tensor(h.mul, d.tau), h, h), subject))
+                               after_tensor_comul(tensor(h.mul, d.tau), h, h)))
     return report
 
 
 @memoised
-def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
+def lemma_identities_report(d: ExtendingDatum) -> Report:
     """Recovery identities for the induced maps.
 
     The last two need the extending coproduct (resp. counit) to be
@@ -225,31 +224,31 @@ def lemma_identities_report(d: ExtendingDatum, subject: str = "") -> Report:
     report = Report()
     report.add(equality_record("unified.lemma_psi_right_comul",
                                after_tensor_comul(tensor(psi, d.phi_h), h, a),
-                               tensor(ida, h.comul) @ psi, subject))
+                               tensor(ida, h.comul) @ psi))
     report.add(equality_record("unified.lemma_psi_left_comul",
                                after_tensor_comul(tensor(d.phi_a, psi), h, a),
-                               tensor(a.comul, idh) @ psi, subject))
+                               tensor(a.comul, idh) @ psi))
     report.add(equality_record("unified.lemma_sigma_left_comul",
                                tensor(a.comul, idh) @ sigma,
-                               after_tensor_comul(tensor(d.tau, sigma), h, h), subject))
+                               after_tensor_comul(tensor(d.tau, sigma), h, h)))
     report.add(equality_record("unified.lemma_psi_counit",
-                               tensor(ida, h.counit) @ psi, d.phi_a, subject))
+                               tensor(ida, h.counit) @ psi, d.phi_a))
     report.add(equality_record("unified.lemma_psi_counit_left",
-                               tensor(a.counit, idh) @ psi, d.phi_h, subject))
+                               tensor(a.counit, idh) @ psi, d.phi_h))
     report.add(equality_record("unified.lemma_sigma_counit_left",
-                               tensor(a.counit, idh) @ sigma, h.mul, subject))
+                               tensor(a.counit, idh) @ sigma, h.mul))
     if mult["unified.h_comul_mult"].passed:
         report.add(equality_record("unified.lemma_sigma_right_comul",
                                    after_tensor_comul(tensor(sigma, h.mul), h, h),
-                                   tensor(ida, h.comul) @ sigma, subject))
+                                   tensor(ida, h.comul) @ sigma))
     else:
-        report.add(skipped_record("unified.lemma_sigma_right_comul", subject=subject,
+        report.add(skipped_record("unified.lemma_sigma_right_comul",
                                   note="extending coproduct is not multiplicative"))
     if mult["unified.h_counit_mult"].passed:
         report.add(equality_record("unified.lemma_tau_counit",
-                                   tensor(ida, h.counit) @ sigma, d.tau, subject))
+                                   tensor(ida, h.counit) @ sigma, d.tau))
     else:
-        report.add(skipped_record("unified.lemma_tau_counit", subject=subject,
+        report.add(skipped_record("unified.lemma_tau_counit",
                                   note="extending counit is not multiplicative"))
     return report
 
@@ -277,12 +276,12 @@ def induce(d: ExtendingDatum) -> CrossedSystem:
     return d.system
 
 
-def check_nabla_identity(d: ExtendingDatum, subject: str = "") -> Report:
+def check_nabla_identity(d: ExtendingDatum) -> Report:
     """The induced projector must be the identity on A (x) H."""
     report = Report()
     nabla = d.system.nabla
     report.add(equality_record("unified.nabla_identity", nabla,
-                               identity(d.field, nabla.source), subject))
+                               identity(d.field, nabla.source)))
     return report
 
 
@@ -324,37 +323,36 @@ def bullet_product(d: ExtendingDatum) -> LinMap:
     return LinMap.from_dict(field, source, target, {k: v for k, v in values.items() if v})
 
 
-def unified_pipeline(d: ExtendingDatum,
-                     subject: str = "") -> tuple[Report, WeakCrossedProduct | None]:
+def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | None]:
     """All datum-level checks plus, when they pass, the built unified product."""
     report = Report()
-    report.extend(check_extending_datum(d, subject))
-    report.extend(multiplicativity_report(d, subject))
-    report.extend(lemma_identities_report(d, subject))
+    report.extend(check_extending_datum(d))
+    report.extend(multiplicativity_report(d))
+    report.extend(lemma_identities_report(d))
     if not report.passed:
         return report, None
-    report.extend(check_be(d, subject))
-    report.extend(check_nabla_identity(d, subject))
+    report.extend(check_be(d))
+    report.extend(check_nabla_identity(d))
     if not report.passed:
         return report, None
     system = induce(d)
-    report.extend(check_normalized(system, subject))
+    report.extend(check_normalized(system))
     product = build_products(system)
-    report.extend(product_checks(product, subject))
+    report.extend(product_checks(product))
     report.add(equality_record("unified.bullet_oracle",
-                               product.mu_tensor, bullet_product(d), subject))
+                               product.mu_tensor, bullet_product(d)))
     a, h = d.bialgebra, d.hobj
     nu = tensor(a.unit, h.unit)
     id_ah = identity(d.field, product.mu_tensor.target)
     report.add(equality_record("unified.unit_left",
-                               product.mu_tensor @ tensor(nu, id_ah), id_ah, subject))
+                               product.mu_tensor @ tensor(nu, id_ah), id_ah))
     report.add(equality_record("unified.unit_right",
-                               product.mu_tensor @ tensor(id_ah, nu), id_ah, subject))
-    report.extend(check_preunit(product, nu, subject))
+                               product.mu_tensor @ tensor(id_ah, nu), id_ah))
+    report.extend(check_preunit(product, nu))
     if not report.passed:
         return report, None
     product = build_algebra(product, nu)
-    report.extend(algebra_checks(product, subject))
+    report.extend(algebra_checks(product))
     report.facts["nabla_is_identity"] = report["unified.nabla_identity"].passed
     report.facts["product_dim"] = product.dim
     return report, product
@@ -390,26 +388,26 @@ def _swap_lemma_sides(d: ExtendingDatum, use_sigma: bool):
     return lhs, rhs
 
 
-def support_lemmas_report(d: ExtendingDatum, subject: str = "") -> Report:
+def support_lemmas_report(d: ExtendingDatum) -> Report:
     """The two swap identities; each needs its own extension condition."""
-    be = check_be(d, subject)
+    be = check_be(d)
     report = Report()
     if be["unified.be6"].passed:
         report.add(equality_record("unified.lemma_swap_psi",
-                                   *_swap_lemma_sides(d, use_sigma=False), subject=subject))
+                                   *_swap_lemma_sides(d, use_sigma=False)))
     else:
-        report.add(skipped_record("unified.lemma_swap_psi", subject=subject,
+        report.add(skipped_record("unified.lemma_swap_psi",
                                   note="BE6 does not hold"))
     if be["unified.be7"].passed:
         report.add(equality_record("unified.lemma_swap_sigma",
-                                   *_swap_lemma_sides(d, use_sigma=True), subject=subject))
+                                   *_swap_lemma_sides(d, use_sigma=True)))
     else:
-        report.add(skipped_record("unified.lemma_swap_sigma", subject=subject,
+        report.add(skipped_record("unified.lemma_swap_sigma",
                                   note="BE7 does not hold"))
     return report
 
 
-def theorem_equivalence_suite_unified(d: ExtendingDatum, subject: str = "") -> Report:
+def theorem_equivalence_suite_unified(d: ExtendingDatum) -> Report:
     """Implications between the quadruple conditions and BE4/BE5.
 
     Each direction is gated on its stated hypotheses; a datum missing a
@@ -431,31 +429,31 @@ def theorem_equivalence_suite_unified(d: ExtendingDatum, subject: str = "") -> R
     report = Report()
     if eps_mult:
         report.add(predicate_record(
-            "unified.thm_twisted_forward", (not eq_twisted) or be4, subject=subject,
+            "unified.thm_twisted_forward", (not eq_twisted) or be4,
             note=f"twisted {_status(eq_twisted)}, BE4 {_status(be4)}"))
         report.add(predicate_record(
-            "unified.thm_cocycle_forward", (not eq_cocycle) or be5, subject=subject,
+            "unified.thm_cocycle_forward", (not eq_cocycle) or be5,
             note=f"cocycle {_status(eq_cocycle)}, BE5 {_status(be5)}"))
     else:
-        report.add(skipped_record("unified.thm_twisted_forward", subject=subject,
+        report.add(skipped_record("unified.thm_twisted_forward",
                                   note="extending counit is not multiplicative"))
-        report.add(skipped_record("unified.thm_cocycle_forward", subject=subject,
+        report.add(skipped_record("unified.thm_cocycle_forward",
                                   note="extending counit is not multiplicative"))
     if be["unified.be3"].passed and be["unified.be6"].passed and comul_mult:
         report.add(predicate_record(
-            "unified.thm_twisted_backward", (not be4) or eq_twisted, subject=subject,
+            "unified.thm_twisted_backward", (not be4) or eq_twisted,
             note=f"BE4 {_status(be4)}, twisted {_status(eq_twisted)}"))
     else:
-        report.add(skipped_record("unified.thm_twisted_backward", subject=subject,
+        report.add(skipped_record("unified.thm_twisted_backward",
                                   note="needs BE3, BE6 and a multiplicative coproduct"))
     if be["unified.be1"].passed and be["unified.be7"].passed and comul_mult:
         report.add(predicate_record(
-            "unified.thm_cocycle_backward", (not be5) or eq_cocycle, subject=subject,
+            "unified.thm_cocycle_backward", (not be5) or eq_cocycle,
             note=f"BE5 {_status(be5)}, cocycle {_status(eq_cocycle)}"))
     else:
-        report.add(skipped_record("unified.thm_cocycle_backward", subject=subject,
+        report.add(skipped_record("unified.thm_cocycle_backward",
                                   note="needs BE1, BE7 and a multiplicative coproduct"))
-    report.extend(support_lemmas_report(d, subject))
+    report.extend(support_lemmas_report(d))
     return report
 
 

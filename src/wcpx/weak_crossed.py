@@ -36,12 +36,12 @@ class CompatibilityError(PreconditionError):
     """The twisting map is not compatible with the product of A."""
 
 
-def compat_report(algebra: AlgebraData, psi: LinMap, vdim: int, subject: str = "") -> Report:
+def compat_report(algebra: AlgebraData, psi: LinMap, vdim: int) -> Report:
     """The compatibility of a twisting map with the product of A."""
     ida, idv = algebra.id_map, identity(algebra.field, vdim)
     lhs = tensor(algebra.mul, idv) @ tensor(ida, psi) @ tensor(psi, ida)
     rhs = psi @ tensor(idv, algebra.mul)
-    return Report([equality_record("wcp.compat", lhs, rhs, subject)])
+    return Report([equality_record("wcp.compat", lhs, rhs)])
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,18 @@ class CrossedSystem:
 
 
 @memoised
-def check_compat(system: CrossedSystem, subject: str = "") -> Report:
-    return compat_report(system.algebra, system.psi, system.vdim, subject)
+def check_compat(system: CrossedSystem) -> Report:
+    return compat_report(system.algebra, system.psi, system.vdim)
 
 
 @memoised
-def check_nabla(system: CrossedSystem, nabla: LinMap, subject: str = "") -> Report:
+def check_nabla(system: CrossedSystem, nabla: LinMap) -> Report:
     """Idempotency of a projector on A (x) V and its left linearity over A."""
     left_action = tensor(system.algebra.mul, identity(system.field, system.vdim))
     report = Report()
-    report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla, subject))
+    report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla))
     report.add(equality_record("wcp.nabla_left_linear", nabla @ left_action,
-                               left_action @ tensor(system.algebra.id_map, nabla), subject))
+                               left_action @ tensor(system.algebra.id_map, nabla)))
     return report
 
 
@@ -129,27 +129,27 @@ def build_nabla(system: CrossedSystem) -> LinMap:
 
 
 @memoised
-def check_twisted(system: CrossedSystem, subject: str = "") -> Report:
+def check_twisted(system: CrossedSystem) -> Report:
     a, psi, sigma = system.algebra, system.psi, system.sigma
     ida, idv = a.id_map, identity(a.field, system.vdim)
     lhs = tensor(a.mul, idv) @ tensor(ida, psi) @ tensor(sigma, ida)
     rhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(psi, idv) @ tensor(idv, psi)
-    return Report([equality_record("wcp.twisted", lhs, rhs, subject)])
+    return Report([equality_record("wcp.twisted", lhs, rhs)])
 
 
 @memoised
-def check_cocycle(system: CrossedSystem, subject: str = "") -> Report:
+def check_cocycle(system: CrossedSystem) -> Report:
     a, psi, sigma = system.algebra, system.psi, system.sigma
     ida, idv = a.id_map, identity(a.field, system.vdim)
     lhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(sigma, idv)
     rhs = tensor(a.mul, idv) @ tensor(ida, sigma) @ tensor(psi, idv) @ tensor(idv, sigma)
-    return Report([equality_record("wcp.cocycle", lhs, rhs, subject)])
+    return Report([equality_record("wcp.cocycle", lhs, rhs)])
 
 
 @memoised
-def check_normalized(system: CrossedSystem, subject: str = "") -> Report:
+def check_normalized(system: CrossedSystem) -> Report:
     return Report([equality_record("wcp.sigma_normalized",
-                                   system.nabla @ system.sigma, system.sigma, subject)])
+                                   system.nabla @ system.sigma, system.sigma)])
 
 
 def normalize_sigma(system: CrossedSystem) -> CrossedSystem:
@@ -195,27 +195,27 @@ class WeakCrossedProduct:
 
 
 @memoised
-def product_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
+def product_checks(product: WeakCrossedProduct) -> Report:
     """Structural facts about a built product: projector, splitting, associativity."""
     f = product.field
     nabla, mu = product.nabla, product.mu_tensor
     id_av = identity(f, product.mu_tensor.target)
     id_mid = identity(f, product.splitting.mid)
-    report = check_nabla(product.system, nabla, subject)
+    report = check_nabla(product.system, nabla)
     report.add(equality_record("wcp.splitting_section",
                                product.splitting.projection @ product.splitting.injection,
-                               id_mid, subject))
+                               id_mid))
     report.add(equality_record("wcp.splitting_factors",
                                product.splitting.injection @ product.splitting.projection,
-                               nabla, subject))
+                               nabla))
     report.add(equality_record("wcp.product_assoc",
-                               mu @ tensor(mu, id_av), mu @ tensor(id_av, mu), subject))
-    report.add(equality_record("wcp.product_norm_left", nabla @ mu, mu, subject))
+                               mu @ tensor(mu, id_av), mu @ tensor(id_av, mu)))
+    report.add(equality_record("wcp.product_norm_left", nabla @ mu, mu))
     report.add(equality_record("wcp.product_norm_right",
-                               mu @ tensor(nabla, nabla), mu, subject))
+                               mu @ tensor(nabla, nabla), mu))
     report.add(equality_record("wcp.restricted_assoc",
                                product.mu_times @ tensor(product.mu_times, id_mid),
-                               product.mu_times @ tensor(id_mid, product.mu_times), subject))
+                               product.mu_times @ tensor(id_mid, product.mu_times)))
     return report
 
 
@@ -260,7 +260,7 @@ def beta_map(system: CrossedSystem, nu: LinMap) -> LinMap:
 
 
 @memoised
-def check_preunit(product: WeakCrossedProduct, nu: LinMap, subject: str = "") -> Report:
+def check_preunit(product: WeakCrossedProduct, nu: LinMap) -> Report:
     """Preunit laws for nu plus its three compatibility conditions.
 
     Also compares the projector induced by nu with the projector of the
@@ -279,24 +279,24 @@ def check_preunit(product: WeakCrossedProduct, nu: LinMap, subject: str = "") ->
     square = m @ tensor(id_av, m @ tensor(nu, nu))
     eta_v = nabla @ tensor(a.unit, idv)
     report = Report()
-    report.add(equality_record("wcp.preunit_switch", right, left, subject))
-    report.add(equality_record("wcp.preunit_square", right, square, subject))
+    report.add(equality_record("wcp.preunit_switch", right, left))
+    report.add(equality_record("wcp.preunit_square", right, square))
     report.add(equality_record("wcp.pre1",
                                tensor(a.mul, idv) @ tensor(ida, system.sigma)
                                @ tensor(system.psi, idv) @ tensor(idv, nu),
-                               eta_v, subject))
+                               eta_v))
     report.add(equality_record("wcp.pre2",
                                tensor(a.mul, idv) @ tensor(ida, system.sigma) @ tensor(nu, idv),
-                               eta_v, subject))
+                               eta_v))
     report.add(equality_record("wcp.pre3",
                                tensor(a.mul, idv) @ tensor(ida, system.psi) @ tensor(nu, ida),
-                               beta_map(system, nu), subject))
-    report.add(equality_record("wcp.preunit_projector", right, nabla, subject))
+                               beta_map(system, nu)))
+    report.add(equality_record("wcp.preunit_projector", right, nabla))
     return report
 
 
 @memoised
-def algebra_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
+def algebra_checks(product: WeakCrossedProduct) -> Report:
     """Unit laws on the restricted product and the base-map properties."""
     if product.unit_times is None or product.embedding is None:
         raise PreconditionError("wcp.unit_left", "product has no unit yet; run build_algebra")
@@ -306,24 +306,24 @@ def algebra_checks(product: WeakCrossedProduct, subject: str = "") -> Report:
     report = Report()
     report.add(equality_record("wcp.unit_left",
                                product.mu_times @ tensor(product.unit_times, id_mid),
-                               id_mid, subject))
+                               id_mid))
     report.add(equality_record("wcp.unit_right",
                                product.mu_times @ tensor(id_mid, product.unit_times),
-                               id_mid, subject))
+                               id_mid))
     beta = beta_map(system, product.preunit)
     report.add(equality_record("wcp.base_map_mult",
                                product.mu_tensor @ tensor(beta, beta),
-                               beta @ a.mul, subject))
+                               beta @ a.mul))
     report.add(equality_record("wcp.base_map_left_linear",
                                beta @ a.mul,
                                tensor(a.mul, identity(product.field, system.vdim))
-                               @ tensor(a.id_map, beta), subject))
+                               @ tensor(a.id_map, beta)))
     report.add(equality_record("wcp.embedding_mult",
                                product.mu_times @ tensor(product.embedding, product.embedding),
-                               product.embedding @ system.algebra.mul, subject))
+                               product.embedding @ system.algebra.mul))
     report.add(equality_record("wcp.embedding_unital",
                                product.embedding @ system.algebra.unit,
-                               product.unit_times, subject))
+                               product.unit_times))
     return report
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,8 +9,11 @@ from click.testing import CliRunner
 from wcpx.cli import main
 from wcpx.reporting import ANCHORS
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("check-structure", "wcp-check", "wcp-build", "partial-check", "partial-build",
+            "unified-check", "unified-build", "equivalence-suite")
 
 
 def run(*args, env=None):
@@ -199,3 +203,41 @@ def test_mis_shaped_psi_exits_two_at_its_declaration(tmp_path):
     result = run("wcp-check", bad)
     assert result.exit_code == 2, result.output
     assert f"line {line}, col 1: psi must map V⊗A -> A⊗V" in result.output
+
+
+# exit code and report SHA-256 of every command on every fixture, as the
+# benchmark's outcome checker pins them
+FIXTURE_PINS = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["fixtures"]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.wx")))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_fixture_report_matches_its_pin(tmp_path, command, fixture):
+    pin = FIXTURE_PINS[f"fixture:{command} {fixture}"]
+    out = tmp_path / "report.json"
+    result = run(command, FIXTURES / fixture, "--report", out)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert (result.exit_code, digest) == (pin["exit"], pin["report_sha256"])
+
+
+def test_check_structure_stamps_each_record_with_its_block(tmp_path):
+    # partial_smash.wx declares the Hopf algebra H and the algebra A; two more
+    # algebras follow, the first with a broken unit
+    text = (FIXTURES / "partial_smash.wx").read_text(encoding="utf-8")
+    several = tmp_path / "several.wx"
+    several.write_text(text + "\nalgebra Z dim 1\nunit: 2\nmul 1 1 : 1=1\n"
+                              "\nalgebra M dim 1\nunit: 1\nmul 1 1 : 1=1\n")
+    out = tmp_path / "report.json"
+    result = run("check-structure", several, "--report", out)
+    assert result.exit_code == 1, result.output
+    checks = json.loads(out.read_text())["checks"]
+    algebra = ["algebra.unit_left", "algebra.unit_right", "algebra.assoc"]
+    coalgebra = ["coalgebra.counit_left", "coalgebra.counit_right", "coalgebra.coassoc"]
+    hopf = ["bialgebra.comul_mult", "bialgebra.counit_mult", "bialgebra.comul_unit",
+            "bialgebra.counit_unit", "hopf.antipode_left", "hopf.antipode_right"]
+    expected = ([("H", check) for check in algebra + coalgebra + hopf]
+                + [(block, check) for block in ("A", "Z", "M") for check in algebra])
+    assert [(c["subject"], c["check"]) for c in checks] == expected
+    assert [c["subject"] for c in checks if c["status"] == "fail"] == ["Z", "Z"]
+    assert "fail    [Z] algebra.unit_left" in result.output

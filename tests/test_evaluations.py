@@ -82,6 +82,24 @@ def test_suite_shares_the_quadruple_checks_of_the_pipeline(pipeline, suite, exam
     assert evaluations["wcp.twisted"] == evaluations["wcp.cocycle"] == 1
 
 
+def test_partial_suite_shares_the_induced_forms_of_the_pipeline(evaluations):
+    act = partial_smash_action(QQ)
+    assert partial_pipeline(act)[0].passed
+    assert theorem_equivalence_suite(act).passed
+    assert evaluations["partial.twist"] == evaluations["partial.cocycle"] == 1
+
+
+def test_cocycle_absorption_is_evaluated_once_for_both_forms(evaluations):
+    report = pc.check_partial_action(partial_smash_action(QQ))
+    composite = report["partial.cocycle_absorb_composite"]
+    induced = report["partial.cocycle_absorb"]
+    assert (composite.status, composite.witness) == (induced.status, induced.witness)
+    assert composite.anchor == reporting.ANCHORS["partial.cocycle_absorb_composite"]
+    assert report["partial.cocycle_absorb_forms_agree"].passed
+    assert evaluations["partial.cocycle_absorb"] == 1
+    assert evaluations["partial.cocycle_absorb_composite"] == 0
+
+
 @pytest.mark.parametrize("module, example, runs", [
     (pc, partial_smash_action,
      (pc.lemma_report, partial_pipeline, theorem_equivalence_suite)),

@@ -219,10 +219,10 @@ def test_known_unital_product_arises_from_crossed_data(field):
 def test_product_checks_are_evaluated_once_per_built_product(field, monkeypatch):
     system, _, _ = tensor_system(field)
     product = wc.build_products(system)
-    fresh = wc.product_checks(replace(product), "tensor")
+    fresh = wc.product_checks(replace(product))
     calls = []
     monkeypatch.setattr(wc, "equality_record", lambda *args, **kw: calls.append(args))
-    reused = wc.product_checks(product, "tensor")
+    reused = wc.product_checks(product)
     assert not calls and reused.records == fresh.records and reused.passed
     # a product holding another map is evaluated again
     monkeypatch.undo()
