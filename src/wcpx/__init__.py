@@ -20,11 +20,11 @@ from .weak_crossed import (CrossedSystem, WeakCrossedProduct, build_algebra,
                            normalize_sigma)
 from .partial_crossed import (TwistedPartialAction, build_partial_crossed_product,
                               check_partial_action, check_units_and_cocycle,
-                              induce_psi_sigma, theorem_equivalence_suite)
+                              theorem_equivalence_suite)
 from .unified_product import (ExtendingDatum, PreHopfObject,
                               build_unified_product, check_be,
                               check_extending_datum, check_nabla_identity,
-                              induce, theorem_equivalence_suite_unified)
+                              theorem_equivalence_suite_unified)
 
 __all__ = [
     "QQ", "FieldSpec", "prime_field",
@@ -37,9 +37,7 @@ __all__ = [
     "build_products", "check_cocycle", "check_compat", "check_preunit",
     "check_twisted", "normalize_sigma",
     "TwistedPartialAction", "build_partial_crossed_product",
-    "check_partial_action", "check_units_and_cocycle", "induce_psi_sigma",
-    "theorem_equivalence_suite",
+    "check_partial_action", "check_units_and_cocycle", "theorem_equivalence_suite",
     "ExtendingDatum", "PreHopfObject", "build_unified_product", "check_be",
-    "check_extending_datum", "check_nabla_identity", "induce",
-    "theorem_equivalence_suite_unified",
+    "check_extending_datum", "check_nabla_identity", "theorem_equivalence_suite_unified",
 ]

@@ -22,10 +22,9 @@ from .parser import ParseError, StructureFile, parse
 from .reporting import Report, emit, format_record
 from .structures import (AlgebraData, CoalgebraData, HopfData, check_algebra,
                          check_bialgebra, check_coalgebra, check_hopf)
-from .weak_crossed import (PreconditionError, algebra_checks, build_algebra,
-                           build_products, check_cocycle, check_compat,
-                           check_nabla, check_normalized, check_preunit,
-                           check_twisted, normalize_sigma, product_checks)
+from .weak_crossed import (PreconditionError, build_products, check_cocycle, check_compat,
+                           check_nabla, check_normalized, check_preunit, check_twisted,
+                           normalize_sigma, product_report)
 from .partial_crossed import (TwistedPartialAction, partial_pipeline, partial_report,
                               theorem_equivalence_suite)
 from .unified_product import (PreHopfObject, check_be, check_extending_datum,
@@ -177,21 +176,15 @@ def _wcp_build(decl) -> Report:
         return report
     try:
         normalized = normalize_sigma(system)
-        report.facts["sigma_normalized_changed"] = normalized is not system
-        report.extend(check_normalized(normalized))
-        product = build_products(normalized)
     except PreconditionError as exc:
-        # every error raised on this path carries its failed record
         report.add(exc.record)
         return report
-    report.extend(product_checks(product))
-    report.facts["nabla_rank"] = product.splitting.mid.total
-    report.facts["product_dim"] = product.dim
-    if decl.preunit is not None:
-        pre = check_preunit(product, decl.preunit)
-        report.extend(pre)
-        if pre.passed:
-            report.extend(algebra_checks(build_algebra(product, decl.preunit)))
+    report.facts["sigma_normalized_changed"] = normalized is not system
+    built, product = product_report(normalized, decl.preunit)
+    report.extend(built)
+    if product is not None:
+        report.facts["nabla_rank"] = product.splitting.mid.total
+        report.facts["product_dim"] = product.dim
     return report
 
 

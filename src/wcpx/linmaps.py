@@ -630,8 +630,4 @@ def split_idempotent(e: LinMap) -> Splitting:
     mid = ObjectShape((r,))
     injection = LinMap._of(e.field, mid, e.target, _transpose(reduced[:r], n))
     projection = LinMap._of(e.field, e.source, mid, [e._rows[pr] for pr in pivot_rows])
-    if not equals(projection @ injection, identity(e.field, mid)):
-        raise NotIdempotentError("internal error: projection @ injection != id")
-    if not equals(injection @ projection, e):
-        raise NotIdempotentError("internal error: injection @ projection != e")
     return Splitting(mid, injection, projection)

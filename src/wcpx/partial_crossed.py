@@ -20,10 +20,8 @@ from .reporting import (CheckRecord, Report, anchor_for, equality_record, memois
                         predicate_record)
 from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
                          product_algebra)
-from .weak_crossed import (CrossedSystem, PreconditionError, WeakCrossedProduct,
-                           algebra_checks, build_algebra, build_nabla, build_products,
-                           check_cocycle, check_normalized, check_preunit,
-                           check_twisted, product_checks)
+from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
+                           product_report, require)
 
 
 @dataclass(frozen=True)
@@ -94,22 +92,6 @@ def lemma_report(act: TwistedPartialAction) -> Report:
     report.add(equality_record("partial.lemma_psi_counit", tensor(ida, eps) @ psi, act.phi))
     report.add(equality_record("partial.lemma_sigma_counit", tensor(ida, eps) @ sigma, act.omega))
     return report
-
-
-def induce_psi_sigma(act: TwistedPartialAction) -> CrossedSystem:
-    """Build the crossed system induced by (phi, omega).
-
-    The recovery identities are verified first; then the system is gated
-    on the compatibility condition, which holds exactly when the action is
-    partially multiplicative, and on the projector it induces.
-    """
-    bad = lemma_report(act).failures()
-    if bad:
-        raise PreconditionError(
-            bad[0].check,
-            f"recovery identity {bad[0].anchor!r} fails: Hopf data is corrupted")
-    build_nabla(act.system)
-    return act.system
 
 
 def _action_mult_sides(act: TwistedPartialAction, composite: bool):
@@ -275,20 +257,13 @@ def partial_pipeline(act: TwistedPartialAction) -> tuple[Report, WeakCrossedProd
     report = partial_report(act)
     if not report.passed:
         return report, None
-    system = induce_psi_sigma(act)
-    report.extend(check_normalized(system))
+    built, product = product_report(
+        act.system, tensor(act.algebra.unit, act.hopf.unit), lambda product: (
+            equality_record("partial.nabla_unit_form", product.nabla, nabla_unit_form(act)),
+            equality_record("partial.product_oracle", product.mu_tensor, sweedler_product(act))))
+    report.extend(built)
     if not report.passed:
         return report, None
-    product = build_products(system)
-    report.extend(product_checks(product))
-    report.add(equality_record("partial.nabla_unit_form", product.nabla, nabla_unit_form(act)))
-    report.add(equality_record("partial.product_oracle", product.mu_tensor, sweedler_product(act)))
-    nu = tensor(act.algebra.unit, act.hopf.unit)
-    report.extend(check_preunit(product, nu))
-    if not report.passed:
-        return report, None
-    product = build_algebra(product, nu)
-    report.extend(algebra_checks(product))
     report.facts["nabla_rank"] = product.splitting.mid.total
     report.facts["product_dim"] = product.dim
     return report, product
@@ -296,9 +271,7 @@ def partial_pipeline(act: TwistedPartialAction) -> tuple[Report, WeakCrossedProd
 
 def build_partial_crossed_product(act: TwistedPartialAction) -> WeakCrossedProduct:
     report, product = partial_pipeline(act)
-    if product is None:
-        bad = report.failures()[0]
-        raise PreconditionError(bad.check, f"partial action check failed: {bad.anchor}")
+    require(report, "partial action check failed")
     return product
 
 

@@ -19,11 +19,8 @@ from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, identity
 from .reporting import Report, equality_record, memoised, predicate_record, skipped_record
 from .structures import (BialgebraData, after_tensor_comul, group_algebra,
                          product_of_coproducts)
-from .weak_crossed import (CompatibilityError, CrossedSystem, PreconditionError,
-                           WeakCrossedProduct, algebra_checks, build_algebra,
-                           build_products, check_cocycle, check_normalized,
-                           check_preunit, check_twisted, product_checks,
-                           require_compat)
+from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
+                           product_report, require)
 
 
 @dataclass(frozen=True)
@@ -253,29 +250,6 @@ def lemma_identities_report(d: ExtendingDatum) -> Report:
     return report
 
 
-def induce(d: ExtendingDatum) -> CrossedSystem:
-    """Build the induced crossed system.
-
-    The ungated recovery identities are verified first.  Failure of the
-    compatibility condition is reported as missing hypotheses (the left
-    action is not partially multiplicative or the right action is not a
-    module action), not as corruption.
-    """
-    for record in lemma_identities_report(d).records:
-        if record.failed:
-            raise PreconditionError(
-                record.check,
-                f"recovery identity {record.anchor!r} fails: extending datum is corrupted")
-    try:
-        require_compat(d.system)
-    except CompatibilityError as exc:
-        raise PreconditionError(
-            "unified.be2",
-            "compatibility fails for the induced twisting map; the datum lacks "
-            "the partial multiplicativity (BE2) or right module hypotheses") from exc
-    return d.system
-
-
 def check_nabla_identity(d: ExtendingDatum) -> Report:
     """The induced projector must be the identity on A (x) H."""
     report = Report()
@@ -335,24 +309,19 @@ def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | No
     report.extend(check_nabla_identity(d))
     if not report.passed:
         return report, None
-    system = induce(d)
-    report.extend(check_normalized(system))
-    product = build_products(system)
-    report.extend(product_checks(product))
-    report.add(equality_record("unified.bullet_oracle",
-                               product.mu_tensor, bullet_product(d)))
-    a, h = d.bialgebra, d.hobj
-    nu = tensor(a.unit, h.unit)
-    id_ah = identity(d.field, product.mu_tensor.target)
-    report.add(equality_record("unified.unit_left",
-                               product.mu_tensor @ tensor(nu, id_ah), id_ah))
-    report.add(equality_record("unified.unit_right",
-                               product.mu_tensor @ tensor(id_ah, nu), id_ah))
-    report.extend(check_preunit(product, nu))
+    nu = tensor(d.bialgebra.unit, d.hobj.unit)
+
+    def oracle_and_unit_laws(product: WeakCrossedProduct):
+        mu = product.mu_tensor
+        id_ah = identity(d.field, mu.target)
+        return (equality_record("unified.bullet_oracle", mu, bullet_product(d)),
+                equality_record("unified.unit_left", mu @ tensor(nu, id_ah), id_ah),
+                equality_record("unified.unit_right", mu @ tensor(id_ah, nu), id_ah))
+
+    built, product = product_report(d.system, nu, oracle_and_unit_laws)
+    report.extend(built)
     if not report.passed:
         return report, None
-    product = build_algebra(product, nu)
-    report.extend(algebra_checks(product))
     report.facts["nabla_is_identity"] = report["unified.nabla_identity"].passed
     report.facts["product_dim"] = product.dim
     return report, product
@@ -360,9 +329,7 @@ def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | No
 
 def build_unified_product(d: ExtendingDatum) -> WeakCrossedProduct:
     report, product = unified_pipeline(d)
-    if product is None:
-        bad = report.failures()[0]
-        raise PreconditionError(bad.check, f"extending datum check failed: {bad.anchor}")
+    require(report, "extending datum check failed")
     return product
 
 

@@ -22,8 +22,8 @@ from .structures import AlgebraData
 class PreconditionError(ValueError):
     """A construction was attempted although a required check fails.
 
-    ``record`` is the failed check with its witness, where the raising
-    code compared the two sides.
+    ``record`` is the failed check with its witness; ``require`` raises
+    every error that a failed report causes.
     """
 
     def __init__(self, check_id: str, message: str, record: CheckRecord | None = None) -> None:
@@ -99,18 +99,16 @@ def check_nabla(system: CrossedSystem, nabla: LinMap) -> Report:
     return report
 
 
-def require_compat(system: CrossedSystem) -> None:
-    """Raise CompatibilityError, with the failed record, unless psi is compatible."""
-    record = check_compat(system).records[0]
-    if record.failed:
-        w = record.witness
-        detail = ""
-        if w is not None:
-            detail = (f" at source {tuple(i + 1 for i in w.source_index)} "
-                      f"target {tuple(i + 1 for i in w.target_index)}: "
-                      f"{w.left} vs {w.right}")
-        raise CompatibilityError(
-            "wcp.compat", "twisting map is not compatible with the product" + detail, record)
+def require(report: Report, message: str,
+            error: type[PreconditionError] = PreconditionError) -> None:
+    """Raise ``error`` unless every record of ``report`` passes.
+
+    The exception carries the first failed record, whose witness locates
+    the failure; the message names its anchor only.
+    """
+    bad = report.failures()
+    if bad:
+        raise error(bad[0].check, f"{message}: {bad[0].anchor} fails", bad[0])
 
 
 def build_nabla(system: CrossedSystem) -> LinMap:
@@ -120,11 +118,8 @@ def build_nabla(system: CrossedSystem) -> LinMap:
     of A, or when the projector is not idempotent or not left linear (both
     follow from compatibility when A is a unital associative algebra).
     """
-    require_compat(system)
-    for record in check_nabla(system, system.nabla).records:
-        if record.failed:
-            raise CompatibilityError(record.check,
-                                     record.anchor.replace(" is ", " is not "), record)
+    require(check_compat(system), "cannot build the projector", CompatibilityError)
+    require(check_nabla(system, system.nabla), "cannot build the projector", CompatibilityError)
     return system.nabla
 
 
@@ -219,37 +214,22 @@ def product_checks(product: WeakCrossedProduct) -> Report:
     return report
 
 
-def _gate(check, system: CrossedSystem) -> None:
-    record = check(system).records[0]
-    if record.failed:
-        raise PreconditionError(record.check,
-                                f"cannot build the crossed product: {record.anchor} fails",
-                                record)
-
-
 def build_products(system: CrossedSystem) -> WeakCrossedProduct:
     """Assemble the crossed product behind its gates, in this order:
-    compatibility, twisted, cocycle, the projector, normalization."""
-    require_compat(system)
-    _gate(check_twisted, system)
-    _gate(check_cocycle, system)
+    compatibility and the projector, twisted, cocycle, normalization, a
+    nonzero projector."""
     nabla = build_nabla(system)
-    _gate(check_normalized, system)
-    if nabla.is_zero():
-        record = predicate_record("wcp.nabla_nonzero", False,
-                                  note="the image of the projector is the zero space")
-        raise PreconditionError(record.check,
-                                "cannot build the crossed product: the projector is zero", record)
+    for check in (check_twisted, check_cocycle, check_normalized):
+        require(check(system), "cannot build the crossed product")
+    require(Report([predicate_record("wcp.nabla_nonzero", not nabla.is_zero(),
+                                     note="the image of the projector is the zero space")]),
+            "cannot build the crossed product")
     splitting = split_idempotent(nabla)
     mu_tensor = build_mu_tensor(system)
     mu_times = (splitting.projection @ mu_tensor
                 @ tensor(splitting.injection, splitting.injection))
     product = WeakCrossedProduct(system, nabla, splitting, mu_tensor, mu_times)
-    bad = product_checks(product).failures()
-    if bad:
-        raise PreconditionError(bad[0].check,
-                                f"crossed product postcondition failed: {bad[0].anchor}",
-                                bad[0])
+    require(product_checks(product), "crossed product postcondition failed")
     return product
 
 
@@ -329,18 +309,37 @@ def algebra_checks(product: WeakCrossedProduct) -> Report:
 
 def build_algebra(product: WeakCrossedProduct, nu: LinMap) -> WeakCrossedProduct:
     """Complete the crossed product to a unital algebra using the preunit nu."""
-    pre = check_preunit(product, nu)
-    bad = pre.failures()
-    if bad:
-        raise PreconditionError(bad[0].check,
-                                f"nu is not a preunit for this product: {bad[0].anchor} fails")
+    require(check_preunit(product, nu), "nu is not a preunit for this product")
     p = product.splitting.projection
     unit_times = p @ nu
     embedding = p @ beta_map(product.system, nu)
     completed = replace(product, preunit=nu, unit_times=unit_times, embedding=embedding)
-    failed = algebra_checks(completed).failures()
-    if failed:
-        raise PreconditionError(failed[0].check,
-                                f"restricted algebra postcondition failed: {failed[0].anchor}")
+    require(algebra_checks(completed), "restricted algebra postcondition failed")
     return completed
 
+
+def product_report(system: CrossedSystem, nu: LinMap | None = None,
+                   extra=lambda product: ()) -> tuple[Report, WeakCrossedProduct | None]:
+    """Build the crossed product of ``system`` and report on it, in this order:
+    normalization, the product checks, the records of ``extra(product)``,
+    the preunit laws of ``nu`` and, when every record so far passes, the
+    unital algebra and its checks.
+
+    A failed gate on the way becomes the last record.  The product returned
+    is the last one built: None when the build failed, completed to an
+    algebra exactly when ``nu`` is given and the report passes.
+    """
+    report, product = check_normalized(system), None
+    try:
+        if report.passed:
+            product = build_products(system)
+            report.extend(product_checks(product))
+            report.records.extend(extra(product))
+            if nu is not None:
+                report.extend(check_preunit(product, nu))
+                if report.passed:
+                    product = build_algebra(product, nu)
+                    report.extend(algebra_checks(product))
+    except PreconditionError as exc:
+        report.add(exc.record)
+    return report, product

@@ -60,11 +60,11 @@ def crossed_fixtures(field):
     """Every system passing the compatibility condition, with its preunit."""
     out = [("tensor", *tensor_system(field)), ("base", *trivial_object_system(field))]
     for name, act in partial_actions(field):
-        system = pc.induce_psi_sigma(act)
-        out.append((name, system, tensor(act.algebra.unit, act.hopf.unit)))
+        wc.build_nabla(act.system)
+        out.append((name, act.system, tensor(act.algebra.unit, act.hopf.unit)))
     for name, d in unified_data(field):
-        system = up.induce(d)
-        out.append((name, system, tensor(d.bialgebra.unit, d.hobj.unit)))
+        wc.build_nabla(d.system)
+        out.append((name, d.system, tensor(d.bialgebra.unit, d.hobj.unit)))
     return out
 
 
@@ -139,8 +139,7 @@ def check_partial_desk_numbers(field):
 def check_unified_projector_identity(field):
     for name, d in unified_data(field):
         assert up.check_nabla_identity(d).passed, name
-        system = up.induce(d)
-        s = split_idempotent(system.nabla)
+        s = split_idempotent(wc.build_nabla(d.system))
         assert s.mid.total == d.bialgebra.dim * d.hobj.dim, name
         assert equals(s.injection, identity(field, s.mid)), name
 
@@ -161,11 +160,11 @@ def check_unified_equivalences(field):
 
 def check_oracle_equivalence(field):
     for name, act in partial_actions(field):
-        system = pc.induce_psi_sigma(act)
+        system = act.system
         assert equals(wc.build_mu_tensor(system), pc.sweedler_product(act)), name
         assert equals(system.nabla, pc.sweedler_nabla(act)), name
     for name, d in unified_data(field):
-        system = up.induce(d)
+        system = d.system
         assert equals(wc.build_mu_tensor(system), up.bullet_product(d)), name
     trivial = up.trivial_datum(field)
     _, product = up.unified_pipeline(trivial)

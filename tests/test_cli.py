@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wcpx.cli import main
 from wcpx.reporting import ANCHORS
@@ -172,15 +174,27 @@ def test_wcp_build_non_idempotent_projector_fails_with_witness(tmp_path):
                                  "target_index": [1, 1], "left": "1/4", "right": "1/2"}
 
 
-@pytest.mark.parametrize("command", ["wcp-build", "wcp-check"])
+@pytest.mark.parametrize("command", ["wcp-build", "wcp-check", "partial-build"])
 def test_zero_projector_fails_with_named_record(tmp_path, command):
-    # with the twisting and cocycle maps emptied every gate holds but the
-    # projector is zero, so there is no image to build the product on
-    text = (FIXTURES / "tensor_wcp.wx").read_text()
-    emptied = re.sub(r"(morphism (?:tw|coc) : .*\n)(?:e .*\n)+", r"\1", text)
-    assert emptied.count("\ne ") == 1  # only the preunit keeps its entry
     zero = tmp_path / "zero_projector.wx"
-    zero.write_text(emptied)
+    if command == "partial-build":
+        # A has unit 0, so the projector a (x) h -> a (h1 . 1) (x) h2 is zero;
+        # with the cocycle zero too, every partial condition still holds, and
+        # none of them sees that H's product is broken as well (g.1 = 2g)
+        text, subject = (FIXTURES / "partial_lambda_zero.wx").read_text(), "vanishing"
+        for old, new in (("mul 2 1 : 2=1\n", "mul 2 1 : 2=2\n"), ("unit: 1\n", "unit: 0\n"),
+                         ("morphism coc : H⊗H -> A\ne 1 : 1=1\n",
+                          "morphism coc : H⊗H -> A\ne 1 : 1=0\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        zero.write_text(text)
+    else:
+        # with the twisting and cocycle maps emptied every gate holds but the
+        # projector is zero, so there is no image to build the product on
+        text, subject = (FIXTURES / "tensor_wcp.wx").read_text(), "tensor"
+        emptied = re.sub(r"(morphism (?:tw|coc) : .*\n)(?:e .*\n)+", r"\1", text)
+        assert emptied.count("\ne ") == 1  # only the preunit keeps its entry
+        zero.write_text(emptied)
     out = tmp_path / "report.json"
     result = run(command, zero, "--report", out)
     assert isinstance(result.exception, SystemExit), result.exception
@@ -189,7 +203,37 @@ def test_zero_projector_fails_with_named_record(tmp_path, command):
     assert [c["status"] for c in checks[:-1]] == ["pass"] * (len(checks) - 1)
     assert checks[-1] == {"anchor": "induced projector is nonzero", "check": "wcp.nabla_nonzero",
                           "note": "the image of the projector is the zero space",
-                          "status": "fail", "subject": "tensor"}
+                          "status": "fail", "subject": subject}
+
+
+def constant_spans(text):
+    """Where the structure constants of a structure file are: the value of
+    each entry ('... : 1=1/2') and each entry of a unit or counit line."""
+    spans = [m.span(1) for m in re.finditer(r"(?<=[\d)])=(-?\d+(?:/\d+)?)", text)]
+    for line in re.finditer(r"^(?:unit|counit):(.*)$", text, re.M):
+        spans += [(line.start(1) + t.start(), line.start(1) + t.end())
+                  for t in re.finditer(r"\S+", line.group(1))]
+    return spans
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_fixture_never_raises(tmp_path, data):
+    # one to three structure constants of a shipped fixture changed: every
+    # build command answers with exit 0, 1 or 2, never with a traceback
+    text = data.draw(st.sampled_from(sorted(FIXTURES.glob("*.wx")))).read_text()
+    spans = data.draw(st.lists(st.sampled_from(constant_spans(text)),
+                               min_size=1, max_size=3, unique=True))
+    for start, end in sorted(spans, reverse=True):
+        text = text[:start] + data.draw(st.sampled_from(["0", "1", "-1", "2", "1/2"])) + text[end:]
+    mutant = tmp_path / "mutant.wx"
+    mutant.write_text(text)
+    for command in ("wcp-check", "wcp-build", "partial-build", "unified-build"):
+        result = run(command, mutant)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            command, text, result.exception)
+        assert result.exit_code in (0, 1, 2), (command, text, result.output)
 
 
 def test_mis_shaped_psi_exits_two_at_its_declaration(tmp_path):

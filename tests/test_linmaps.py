@@ -180,6 +180,7 @@ def test_split_diagonal_projector():
     assert s.mid.total == 2
     assert s.injection.entries == mk(QQ, (2,), (3,), [[1, 0], [0, 1], [0, 0]]).entries
     assert equals(s.projection @ s.injection, identity(QQ, 2))
+    assert equals(s.injection @ s.projection, e)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

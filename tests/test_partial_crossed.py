@@ -71,16 +71,16 @@ def test_lemma_identities_hold_for_arbitrary_maps(phi_rows, omega_rows):
     assert pc.lemma_report(act).passed
 
 
-def test_induce_rejects_corrupted_hopf_data(field):
+def test_pipeline_reports_corrupted_hopf_data(field):
     act = pc.partial_smash_action(field)
     comul = set_column(act.hopf.comul, 1, {1 * 2 + 1: 1, 0 * 2 + 1: 1})  # g -> g(x)g + 1(x)g
     broken_coalg = replace(act.hopf.coalgebra, comul=comul)
     from wcpx.structures import BialgebraData, HopfData
     broken = replace(act, hopf=HopfData(
         BialgebraData(act.hopf.algebra, broken_coalg), act.hopf.antipode))
-    with pytest.raises(wc.PreconditionError) as err:
-        pc.induce_psi_sigma(broken)
-    assert err.value.check_id.startswith("partial.lemma")
+    report, product = pc.partial_pipeline(broken)
+    assert report["partial.lemma_psi_comul"].failed
+    assert product is None
 
 
 # -- the defining conditions --------------------------------------------------------
@@ -144,9 +144,9 @@ def test_vanishing_action_product_is_one_dimensional(field):
 
 
 def test_smash_projector_is_the_expected_diagonal(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    nabla = wc.build_nabla(pc.partial_smash_action(field).system)
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-    assert system.nabla.entries == LinMap(
+    assert nabla.entries == LinMap(
         field, shape(2, 2), shape(2, 2), expected).entries
 
 
@@ -184,7 +184,7 @@ def test_build_raises_on_failing_action(field):
 
 def test_projector_matches_elementwise_form(field):
     for name, act in all_actions(field):
-        system = pc.induce_psi_sigma(act)
+        system = act.system
         assert equals(system.nabla, pc.sweedler_nabla(act)), name
         assert equals(system.nabla, pc.nabla_unit_form(act)), name
 
@@ -198,7 +198,7 @@ def test_vanishing_action_projector_matrix(field):
 
 def test_product_matches_elementwise_form(field):
     for name, act in all_actions(field):
-        system = pc.induce_psi_sigma(act)
+        system = act.system
         assert equals(wc.build_mu_tensor(system), pc.sweedler_product(act)), name
 
 

@@ -60,8 +60,7 @@ def test_swap_projector_is_identity(field):
 
 
 def test_projector_idempotent_and_left_linear(field):
-    act = pc.partial_smash_action(field)
-    system = pc.induce_psi_sigma(act)
+    system = pc.partial_smash_action(field).system
     nabla = wc.build_nabla(system)
     assert equals(nabla @ nabla, nabla)
     a = system.algebra
@@ -79,13 +78,13 @@ def test_trivial_object_conditions(field):
 
 
 def test_partial_system_satisfies_conditions(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    system = pc.partial_smash_action(field).system
     assert wc.check_twisted(system).passed
     assert wc.check_cocycle(system).passed
 
 
 def test_corrupted_sigma_breaks_conditions(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    system = pc.partial_smash_action(field).system
     # overwrite sigma at (g, g) with e2 (x) 1
     bad = replace(system, sigma=set_column(system.sigma, 3, {1 * 2 + 0: 1}))
     twisted = wc.check_twisted(bad).records[0]
@@ -97,12 +96,12 @@ def test_corrupted_sigma_breaks_conditions(field):
 # -- normalization ------------------------------------------------------------------
 
 def test_normalize_sigma_is_identity_on_normalized_systems(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    system = pc.partial_smash_action(field).system
     assert wc.normalize_sigma(system) is system
 
 
 def test_normalize_sigma_projects_perturbations(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    system = pc.partial_smash_action(field).system
     complement = identity(field, 4) - system.nabla
     noise = complement @ LinMap.from_dict(field, shape(2, 2), shape(2, 2),
                                           {(3, 0): 1, (3, 3): 2})
@@ -135,7 +134,7 @@ def test_trivial_object_recovers_base_algebra(field):
 
 
 def test_build_products_names_failing_gate(field):
-    system = pc.induce_psi_sigma(pc.partial_smash_action(field))
+    system = pc.partial_smash_action(field).system
     bad = replace(system, sigma=set_column(system.sigma, 3, {1 * 2 + 0: 1}))
     with pytest.raises(wc.PreconditionError) as err:
         wc.build_products(bad)
