@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mutants import constant_spans
 from wcpx.cli import main
 from wcpx.reporting import ANCHORS
 
@@ -204,16 +205,6 @@ def test_zero_projector_fails_with_named_record(tmp_path, command):
     assert checks[-1] == {"anchor": "induced projector is nonzero", "check": "wcp.nabla_nonzero",
                           "note": "the image of the projector is the zero space",
                           "status": "fail", "subject": subject}
-
-
-def constant_spans(text):
-    """Where the structure constants of a structure file are: the value of
-    each entry ('... : 1=1/2') and each entry of a unit or counit line."""
-    spans = [m.span(1) for m in re.finditer(r"(?<=[\d)])=(-?\d+(?:/\d+)?)", text)]
-    for line in re.finditer(r"^(?:unit|counit):(.*)$", text, re.M):
-        spans += [(line.start(1) + t.start(), line.start(1) + t.end())
-                  for t in re.finditer(r"\S+", line.group(1))]
-    return spans
 
 
 @given(data=st.data())
