@@ -12,17 +12,14 @@ from .linmaps import (LinMap, ObjectShape, Splitting, braiding, compose,
                       equals, identity, rank, split_idempotent, tensor)
 from .reporting import Report
 from .structures import (AlgebraData, BialgebraData, CoalgebraData, HopfData,
-                         builtin, check_algebra, check_bialgebra,
-                         check_coalgebra, check_hopf)
+                         check_algebra, check_bialgebra, check_coalgebra, check_hopf)
 from .weak_crossed import (CrossedSystem, WeakCrossedProduct, build_algebra,
                            build_nabla, build_products, check_cocycle,
                            check_compat, check_preunit, check_twisted,
                            normalize_sigma)
-from .partial_crossed import (TwistedPartialAction, build_partial_crossed_product,
-                              check_partial_action, check_units_and_cocycle,
-                              theorem_equivalence_suite)
-from .unified_product import (ExtendingDatum, PreHopfObject,
-                              build_unified_product, check_be,
+from .partial_crossed import (TwistedPartialAction, check_partial_action,
+                              check_units_and_cocycle, theorem_equivalence_suite)
+from .unified_product import (ExtendingDatum, PreHopfObject, check_be,
                               check_extending_datum, check_nabla_identity,
                               theorem_equivalence_suite_unified)
 
@@ -31,13 +28,13 @@ __all__ = [
     "LinMap", "ObjectShape", "Splitting", "braiding", "compose", "equals",
     "identity", "rank", "split_idempotent", "tensor",
     "Report",
-    "AlgebraData", "BialgebraData", "CoalgebraData", "HopfData", "builtin",
+    "AlgebraData", "BialgebraData", "CoalgebraData", "HopfData",
     "check_algebra", "check_bialgebra", "check_coalgebra", "check_hopf",
     "CrossedSystem", "WeakCrossedProduct", "build_algebra", "build_nabla",
     "build_products", "check_cocycle", "check_compat", "check_preunit",
     "check_twisted", "normalize_sigma",
-    "TwistedPartialAction", "build_partial_crossed_product",
-    "check_partial_action", "check_units_and_cocycle", "theorem_equivalence_suite",
-    "ExtendingDatum", "PreHopfObject", "build_unified_product", "check_be",
+    "TwistedPartialAction", "check_partial_action", "check_units_and_cocycle",
+    "theorem_equivalence_suite",
+    "ExtendingDatum", "PreHopfObject", "check_be",
     "check_extending_datum", "check_nabla_identity", "theorem_equivalence_suite_unified",
 ]

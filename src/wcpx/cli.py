@@ -1,9 +1,10 @@
 """The wcpx command line: parse structure files, run checkers, emit reports.
 
 Exit codes: 0 when every check passes, 1 when at least one check fails,
-2 on input or parse errors.  With --report the structured JSON report is
-written next to the human-readable output; identical input bytes always
-produce identical report bytes.
+2 on input or parse errors and on a block too large to check in memory.
+With --report the structured JSON report is written next to the
+human-readable output; identical input bytes always produce identical
+report bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .parser import ParseError, StructureFile, parse
 from .reporting import Report, emit, format_record
 from .structures import (AlgebraData, CoalgebraData, HopfData, check_algebra,
                          check_bialgebra, check_coalgebra, check_hopf)
-from .weak_crossed import (PreconditionError, build_products, check_cocycle, check_compat,
-                           check_nabla, check_normalized, check_preunit, check_twisted,
+from .weak_crossed import (PreconditionError, check_cocycle, check_compat, check_nabla,
+                           check_nonzero, check_normalized, check_preunit, check_twisted,
                            normalize_sigma, product_report)
 from .partial_crossed import (TwistedPartialAction, partial_pipeline, partial_report,
                               theorem_equivalence_suite)
@@ -81,7 +82,8 @@ def _run(path: str, report_path: str | None, name: str | None, what: str,
     selects, each with ``check``, then print and exit as ``_finish`` does.
 
     Each record is stamped with the name of its block, and each fact is
-    prefixed with it.
+    prefixed with it.  A block that exhausts memory ends the run as an
+    input error.
     """
     sf, raw = _load(path)
     click.echo(f"field {sf.field}")
@@ -91,7 +93,10 @@ def _run(path: str, report_path: str | None, name: str | None, what: str,
                     + (f" named {name!r}" if name is not None else ""))
     report = Report()
     for block, decl in selected:
-        sub = check(decl)
+        try:
+            sub = check(decl)
+        except MemoryError:
+            _fail_input(f"{path}: block {block!r} is too large to check: out of memory")
         report.records.extend(replace(r, subject=block) for r in sub.records)
         report.facts.update((f"{block}.{key}", value) for key, value in sub.facts.items())
     _finish(report, raw, report_path)
@@ -145,17 +150,18 @@ def _gates(system) -> Report:
 
 
 def _wcp_check(decl) -> Report:
+    """The reported gates and, when they pass, the preunit laws of a declared
+    preunit; a projector that is not left linear, or is zero, stops every
+    build, so its failed record replaces the preunit laws."""
     system = decl.system
     report = _gates(system)
-    report.add(check_nabla(system, system.nabla)["wcp.nabla_idempotent"])
+    nabla = check_nabla(system)
+    report.add(nabla["wcp.nabla_idempotent"])
     report.extend(check_normalized(system))
     if decl.preunit is not None and report.passed:
-        try:
-            product = build_products(system)
-        except PreconditionError as exc:
-            report.add(exc.record)
-        else:
-            report.extend(check_preunit(product, decl.preunit))
+        unbuildable = nabla.failures() or check_nonzero(system).failures()
+        report.extend(Report(unbuildable[:1]) if unbuildable
+                      else check_preunit(system, decl.preunit))
     return report
 
 

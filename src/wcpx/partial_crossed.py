@@ -21,7 +21,7 @@ from .reporting import (CheckRecord, Report, anchor_for, equality_record, memois
 from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
                          product_algebra)
 from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
-                           product_report, require)
+                           product_report)
 
 
 @dataclass(frozen=True)
@@ -259,20 +259,14 @@ def partial_pipeline(act: TwistedPartialAction) -> tuple[Report, WeakCrossedProd
         return report, None
     built, product = product_report(
         act.system, tensor(act.algebra.unit, act.hopf.unit), lambda product: (
-            equality_record("partial.nabla_unit_form", product.nabla, nabla_unit_form(act)),
-            equality_record("partial.product_oracle", product.mu_tensor, sweedler_product(act))))
+            equality_record("partial.nabla_unit_form", act.system.nabla, nabla_unit_form(act)),
+            equality_record("partial.product_oracle", act.system.mu_tensor, sweedler_product(act))))
     report.extend(built)
     if not report.passed:
         return report, None
     report.facts["nabla_rank"] = product.splitting.mid.total
     report.facts["product_dim"] = product.dim
     return report, product
-
-
-def build_partial_crossed_product(act: TwistedPartialAction) -> WeakCrossedProduct:
-    report, product = partial_pipeline(act)
-    require(report, "partial action check failed")
-    return product
 
 
 def theorem_equivalence_suite(act: TwistedPartialAction) -> Report:

@@ -269,6 +269,36 @@ def skipped_record(check_id: str, note: str = "") -> CheckRecord:
     return CheckRecord(check_id, anchor_for(check_id), SKIPPED, note=note)
 
 
+#: check id -> (the check ids it assumes, the note of its skipped record).
+#: A statement that holds only under hypotheses is evaluated only when
+#: every check it assumes passes, and is reported skipped otherwise.
+HYPOTHESES = {
+    "unified.lemma_sigma_right_comul": (("unified.h_comul_mult",),
+                                        "extending coproduct is not multiplicative"),
+    "unified.lemma_tau_counit": (("unified.h_counit_mult",),
+                                 "extending counit is not multiplicative"),
+    "unified.thm_twisted_forward": (("unified.h_counit_mult",),
+                                    "extending counit is not multiplicative"),
+    "unified.thm_cocycle_forward": (("unified.h_counit_mult",),
+                                    "extending counit is not multiplicative"),
+    "unified.thm_twisted_backward": (("unified.be3", "unified.be6", "unified.h_comul_mult"),
+                                     "needs BE3, BE6 and a multiplicative coproduct"),
+    "unified.thm_cocycle_backward": (("unified.be1", "unified.be7", "unified.h_comul_mult"),
+                                     "needs BE1, BE7 and a multiplicative coproduct"),
+    "unified.lemma_swap_psi": (("unified.be6",), "BE6 does not hold"),
+    "unified.lemma_swap_sigma": (("unified.be7",), "BE7 does not hold"),
+}
+
+
+def gated(check_id: str, known: Report, evaluate) -> CheckRecord:
+    """``evaluate()`` when every hypothesis of ``check_id`` passes in the
+    report ``known``, else the skipped record of ``check_id``."""
+    assumes, note = HYPOTHESES[check_id]
+    if all(known[h].passed for h in assumes):
+        return evaluate()
+    return skipped_record(check_id, note)
+
+
 def _witness_json(w: Witness) -> dict:
     # 1-based indices in serialized output, matching the structure-file format
     return {

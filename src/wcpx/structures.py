@@ -343,21 +343,3 @@ def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
     mul = mul.reshaped(ObjectShape((dim, dim)), sh)
     unit = tensor(a.unit, b.unit).reshaped(UNIT_SHAPE, sh)
     return AlgebraData(a.field, dim, unit, mul)
-
-
-_BUILTINS = ("group_algebra", "dual_group_algebra", "sweedler_h4",
-             "product_algebra", "matrix_algebra")
-
-
-def builtin(name: str, n: int | None = None, field: FieldSpec = QQ):
-    """Look up a catalog structure by name; n is the size parameter."""
-    if name not in _BUILTINS:
-        raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(_BUILTINS)}")
-    if name == "sweedler_h4":
-        return sweedler_h4(field)
-    if n is None:
-        raise ValueError(f"builtin {name!r} needs a size parameter")
-    return {"group_algebra": group_algebra,
-            "dual_group_algebra": dual_group_algebra,
-            "product_algebra": product_algebra,
-            "matrix_algebra": matrix_algebra}[name](n, field)

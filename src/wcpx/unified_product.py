@@ -16,11 +16,12 @@ from functools import cached_property
 from . import _elements as el
 from .fields import FieldSpec
 from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, identity, tensor
-from .reporting import Report, equality_record, memoised, predicate_record, skipped_record
+from .reporting import (FAIL, PASS, CheckRecord, Report, equality_record, gated, memoised,
+                        predicate_record)
 from .structures import (BialgebraData, after_tensor_comul, group_algebra,
                          product_of_coproducts)
 from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
-                           product_report, require)
+                           product_report)
 
 
 @dataclass(frozen=True)
@@ -234,19 +235,11 @@ def lemma_identities_report(d: ExtendingDatum) -> Report:
                                tensor(a.counit, idh) @ psi, d.phi_h))
     report.add(equality_record("unified.lemma_sigma_counit_left",
                                tensor(a.counit, idh) @ sigma, h.mul))
-    if mult["unified.h_comul_mult"].passed:
-        report.add(equality_record("unified.lemma_sigma_right_comul",
-                                   after_tensor_comul(tensor(sigma, h.mul), h, h),
-                                   tensor(ida, h.comul) @ sigma))
-    else:
-        report.add(skipped_record("unified.lemma_sigma_right_comul",
-                                  note="extending coproduct is not multiplicative"))
-    if mult["unified.h_counit_mult"].passed:
-        report.add(equality_record("unified.lemma_tau_counit",
-                                   tensor(ida, h.counit) @ sigma, d.tau))
-    else:
-        report.add(skipped_record("unified.lemma_tau_counit",
-                                  note="extending counit is not multiplicative"))
+    report.add(gated("unified.lemma_sigma_right_comul", mult, lambda: equality_record(
+        "unified.lemma_sigma_right_comul", after_tensor_comul(tensor(sigma, h.mul), h, h),
+        tensor(ida, h.comul) @ sigma)))
+    report.add(gated("unified.lemma_tau_counit", mult, lambda: equality_record(
+        "unified.lemma_tau_counit", tensor(ida, h.counit) @ sigma, d.tau)))
     return report
 
 
@@ -312,7 +305,7 @@ def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | No
     nu = tensor(d.bialgebra.unit, d.hobj.unit)
 
     def oracle_and_unit_laws(product: WeakCrossedProduct):
-        mu = product.mu_tensor
+        mu = product.system.mu_tensor
         id_ah = identity(d.field, mu.target)
         return (equality_record("unified.bullet_oracle", mu, bullet_product(d)),
                 equality_record("unified.unit_left", mu @ tensor(nu, id_ah), id_ah),
@@ -325,12 +318,6 @@ def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | No
     report.facts["nabla_is_identity"] = report["unified.nabla_identity"].passed
     report.facts["product_dim"] = product.dim
     return report, product
-
-
-def build_unified_product(d: ExtendingDatum) -> WeakCrossedProduct:
-    report, product = unified_pipeline(d)
-    require(report, "extending datum check failed")
-    return product
 
 
 def _swap_lemma_sides(d: ExtendingDatum, use_sigma: bool):
@@ -355,73 +342,34 @@ def _swap_lemma_sides(d: ExtendingDatum, use_sigma: bool):
     return lhs, rhs
 
 
-def support_lemmas_report(d: ExtendingDatum) -> Report:
-    """The two swap identities; each needs its own extension condition."""
-    be = check_be(d)
-    report = Report()
-    if be["unified.be6"].passed:
-        report.add(equality_record("unified.lemma_swap_psi",
-                                   *_swap_lemma_sides(d, use_sigma=False)))
-    else:
-        report.add(skipped_record("unified.lemma_swap_psi",
-                                  note="BE6 does not hold"))
-    if be["unified.be7"].passed:
-        report.add(equality_record("unified.lemma_swap_sigma",
-                                   *_swap_lemma_sides(d, use_sigma=True)))
-    else:
-        report.add(skipped_record("unified.lemma_swap_sigma",
-                                  note="BE7 does not hold"))
-    return report
-
-
 def theorem_equivalence_suite_unified(d: ExtendingDatum) -> Report:
-    """Implications between the quadruple conditions and BE4/BE5.
+    """Implications between the quadruple conditions and BE4/BE5, and the
+    two swap identities.
 
-    Each direction is gated on its stated hypotheses; a datum missing a
-    hypothesis yields a skipped record rather than a vacuous assertion.
-    The swap-identity lemmas are verified alongside.
+    Each statement is gated on its hypotheses in ``HYPOTHESES``; a datum
+    missing one yields a skipped record rather than a vacuous assertion.
     """
     be = check_be(d)
-    mult = multiplicativity_report(d)
-    eq_twisted = check_twisted(d.system).passed
-    eq_cocycle = check_cocycle(d.system).passed
-    be4 = be["unified.be4"].passed
-    be5 = be["unified.be5"].passed
-    eps_mult = mult["unified.h_counit_mult"].passed
-    comul_mult = mult["unified.h_comul_mult"].passed
+    known = multiplicativity_report(d).extend(be)
+    held = {"twisted": check_twisted(d.system).passed, "cocycle": check_cocycle(d.system).passed,
+            "BE4": be["unified.be4"].passed, "BE5": be["unified.be5"].passed}
 
-    def _status(flag: bool) -> str:
-        return "pass" if flag else "fail"
+    def implication(check_id: str, premise: str, conclusion: str) -> CheckRecord:
+        return gated(check_id, known, lambda: predicate_record(
+            check_id, not held[premise] or held[conclusion],
+            note=f"{premise} {PASS if held[premise] else FAIL}, "
+                 f"{conclusion} {PASS if held[conclusion] else FAIL}"))
 
-    report = Report()
-    if eps_mult:
-        report.add(predicate_record(
-            "unified.thm_twisted_forward", (not eq_twisted) or be4,
-            note=f"twisted {_status(eq_twisted)}, BE4 {_status(be4)}"))
-        report.add(predicate_record(
-            "unified.thm_cocycle_forward", (not eq_cocycle) or be5,
-            note=f"cocycle {_status(eq_cocycle)}, BE5 {_status(be5)}"))
-    else:
-        report.add(skipped_record("unified.thm_twisted_forward",
-                                  note="extending counit is not multiplicative"))
-        report.add(skipped_record("unified.thm_cocycle_forward",
-                                  note="extending counit is not multiplicative"))
-    if be["unified.be3"].passed and be["unified.be6"].passed and comul_mult:
-        report.add(predicate_record(
-            "unified.thm_twisted_backward", (not be4) or eq_twisted,
-            note=f"BE4 {_status(be4)}, twisted {_status(eq_twisted)}"))
-    else:
-        report.add(skipped_record("unified.thm_twisted_backward",
-                                  note="needs BE3, BE6 and a multiplicative coproduct"))
-    if be["unified.be1"].passed and be["unified.be7"].passed and comul_mult:
-        report.add(predicate_record(
-            "unified.thm_cocycle_backward", (not be5) or eq_cocycle,
-            note=f"BE5 {_status(be5)}, cocycle {_status(eq_cocycle)}"))
-    else:
-        report.add(skipped_record("unified.thm_cocycle_backward",
-                                  note="needs BE1, BE7 and a multiplicative coproduct"))
-    report.extend(support_lemmas_report(d))
-    return report
+    def swap_lemma(check_id: str, use_sigma: bool) -> CheckRecord:
+        return gated(check_id, known, lambda: equality_record(
+            check_id, *_swap_lemma_sides(d, use_sigma)))
+
+    return Report([implication("unified.thm_twisted_forward", "twisted", "BE4"),
+                   implication("unified.thm_cocycle_forward", "cocycle", "BE5"),
+                   implication("unified.thm_twisted_backward", "BE4", "twisted"),
+                   implication("unified.thm_cocycle_backward", "BE5", "cocycle"),
+                   swap_lemma("unified.lemma_swap_psi", use_sigma=False),
+                   swap_lemma("unified.lemma_swap_sigma", use_sigma=True)])
 
 
 # ---------------------------------------------------------------------------

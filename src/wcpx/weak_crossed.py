@@ -32,10 +32,6 @@ class PreconditionError(ValueError):
         self.record = record
 
 
-class CompatibilityError(PreconditionError):
-    """The twisting map is not compatible with the product of A."""
-
-
 def compat_report(algebra: AlgebraData, psi: LinMap, vdim: int) -> Report:
     """The compatibility of a twisting map with the product of A."""
     ida, idv = algebra.id_map, identity(algebra.field, vdim)
@@ -82,6 +78,14 @@ class CrossedSystem:
         idv = identity(a.field, self.vdim)
         return tensor(a.mul, idv) @ tensor(ida, self.psi) @ tensor(ida, idv, a.unit)
 
+    @cached_property
+    def mu_tensor(self) -> LinMap:
+        """The crossed product on A (x) V, no conditions assumed or checked;
+        its preunit laws need no projector image."""
+        a = self.algebra
+        ida, idv = a.id_map, identity(a.field, self.vdim)
+        return tensor(a.mul, idv) @ tensor(a.mul, self.sigma) @ tensor(ida, self.psi, idv)
+
 
 @memoised
 def check_compat(system: CrossedSystem) -> Report:
@@ -89,8 +93,9 @@ def check_compat(system: CrossedSystem) -> Report:
 
 
 @memoised
-def check_nabla(system: CrossedSystem, nabla: LinMap) -> Report:
-    """Idempotency of a projector on A (x) V and its left linearity over A."""
+def check_nabla(system: CrossedSystem) -> Report:
+    """Idempotency of the projector on A (x) V and its left linearity over A."""
+    nabla = system.nabla
     left_action = tensor(system.algebra.mul, identity(system.field, system.vdim))
     report = Report()
     report.add(equality_record("wcp.nabla_idempotent", nabla @ nabla, nabla))
@@ -99,28 +104,33 @@ def check_nabla(system: CrossedSystem, nabla: LinMap) -> Report:
     return report
 
 
-def require(report: Report, message: str,
-            error: type[PreconditionError] = PreconditionError) -> None:
-    """Raise ``error`` unless every record of ``report`` passes.
+def require(report: Report, message: str) -> None:
+    """Raise PreconditionError unless every record of ``report`` passes.
 
     The exception carries the first failed record, whose witness locates
     the failure; the message names its anchor only.
     """
     bad = report.failures()
     if bad:
-        raise error(bad[0].check, f"{message}: {bad[0].anchor} fails", bad[0])
+        raise PreconditionError(bad[0].check, f"{message}: {bad[0].anchor} fails", bad[0])
 
 
 def build_nabla(system: CrossedSystem) -> LinMap:
     """The projector on A (x) V induced by the twisting map, behind its gates.
 
-    Raises CompatibilityError when psi is not compatible with the product
+    Raises PreconditionError when psi is not compatible with the product
     of A, or when the projector is not idempotent or not left linear (both
     follow from compatibility when A is a unital associative algebra).
     """
-    require(check_compat(system), "cannot build the projector", CompatibilityError)
-    require(check_nabla(system, system.nabla), "cannot build the projector", CompatibilityError)
+    require(check_compat(system), "cannot build the projector")
+    require(check_nabla(system), "cannot build the projector")
     return system.nabla
+
+
+@memoised
+def check_nonzero(system: CrossedSystem) -> Report:
+    return Report([predicate_record("wcp.nabla_nonzero", not system.nabla.is_zero(),
+                                    note="the image of the projector is the zero space")])
 
 
 @memoised
@@ -155,26 +165,18 @@ def normalize_sigma(system: CrossedSystem) -> CrossedSystem:
     return replace(system, sigma=nabla @ system.sigma)
 
 
-def build_mu_tensor(system: CrossedSystem) -> LinMap:
-    """The crossed product on A (x) V (no conditions assumed)."""
-    a = system.algebra
-    ida, idv = a.id_map, identity(a.field, system.vdim)
-    return tensor(a.mul, idv) @ tensor(a.mul, system.sigma) @ tensor(ida, system.psi, idv)
-
-
 @dataclass(frozen=True)
 class WeakCrossedProduct:
-    """The crossed product data on A (x) V and on the projector image.
+    """The crossed product on the projector image of a system.
 
-    ``mu_tensor`` is the product on the whole tensor space, ``mu_times``
-    its restriction through the splitting.  ``preunit``/``unit_times`` and
-    the base embedding are filled in by build_algebra.
+    ``system.mu_tensor`` is the product on the whole tensor space,
+    ``mu_times`` its restriction through the splitting of
+    ``system.nabla``.  ``preunit``/``unit_times`` and the base embedding
+    are filled in by build_algebra.
     """
 
     system: CrossedSystem
-    nabla: LinMap
     splitting: Splitting
-    mu_tensor: LinMap
     mu_times: LinMap
     preunit: LinMap | None = None
     unit_times: LinMap | None = None
@@ -193,10 +195,10 @@ class WeakCrossedProduct:
 def product_checks(product: WeakCrossedProduct) -> Report:
     """Structural facts about a built product: projector, splitting, associativity."""
     f = product.field
-    nabla, mu = product.nabla, product.mu_tensor
-    id_av = identity(f, product.mu_tensor.target)
+    nabla, mu = product.system.nabla, product.system.mu_tensor
+    id_av = identity(f, mu.target)
     id_mid = identity(f, product.splitting.mid)
-    report = check_nabla(product.system, nabla)
+    report = check_nabla(product.system)
     report.add(equality_record("wcp.splitting_section",
                                product.splitting.projection @ product.splitting.injection,
                                id_mid))
@@ -219,16 +221,12 @@ def build_products(system: CrossedSystem) -> WeakCrossedProduct:
     compatibility and the projector, twisted, cocycle, normalization, a
     nonzero projector."""
     nabla = build_nabla(system)
-    for check in (check_twisted, check_cocycle, check_normalized):
+    for check in (check_twisted, check_cocycle, check_normalized, check_nonzero):
         require(check(system), "cannot build the crossed product")
-    require(Report([predicate_record("wcp.nabla_nonzero", not nabla.is_zero(),
-                                     note="the image of the projector is the zero space")]),
-            "cannot build the crossed product")
     splitting = split_idempotent(nabla)
-    mu_tensor = build_mu_tensor(system)
-    mu_times = (splitting.projection @ mu_tensor
+    mu_times = (splitting.projection @ system.mu_tensor
                 @ tensor(splitting.injection, splitting.injection))
-    product = WeakCrossedProduct(system, nabla, splitting, mu_tensor, mu_times)
+    product = WeakCrossedProduct(system, splitting, mu_times)
     require(product_checks(product), "crossed product postcondition failed")
     return product
 
@@ -240,17 +238,16 @@ def beta_map(system: CrossedSystem, nu: LinMap) -> LinMap:
 
 
 @memoised
-def check_preunit(product: WeakCrossedProduct, nu: LinMap) -> Report:
+def check_preunit(system: CrossedSystem, nu: LinMap) -> Report:
     """Preunit laws for nu plus its three compatibility conditions.
 
     Also compares the projector induced by nu with the projector of the
     system; their agreement is what makes nu a preunit for the crossed
     product rather than for some other product on the same space.
     """
-    system = product.system
     a = system.algebra
     f, idv, ida = a.field, identity(a.field, system.vdim), a.id_map
-    m, nabla = product.mu_tensor, product.nabla
+    m, nabla = system.mu_tensor, system.nabla
     id_av = identity(f, m.target)
     if nu.source.total != 1 or nu.target.total != a.dim * system.vdim:
         raise ShapeMismatchError(f"preunit must map K -> A⊗V, got {nu}")
@@ -292,7 +289,7 @@ def algebra_checks(product: WeakCrossedProduct) -> Report:
                                id_mid))
     beta = beta_map(system, product.preunit)
     report.add(equality_record("wcp.base_map_mult",
-                               product.mu_tensor @ tensor(beta, beta),
+                               system.mu_tensor @ tensor(beta, beta),
                                beta @ a.mul))
     report.add(equality_record("wcp.base_map_left_linear",
                                beta @ a.mul,
@@ -309,7 +306,7 @@ def algebra_checks(product: WeakCrossedProduct) -> Report:
 
 def build_algebra(product: WeakCrossedProduct, nu: LinMap) -> WeakCrossedProduct:
     """Complete the crossed product to a unital algebra using the preunit nu."""
-    require(check_preunit(product, nu), "nu is not a preunit for this product")
+    require(check_preunit(product.system, nu), "nu is not a preunit for this product")
     p = product.splitting.projection
     unit_times = p @ nu
     embedding = p @ beta_map(product.system, nu)
@@ -336,7 +333,7 @@ def product_report(system: CrossedSystem, nu: LinMap | None = None,
             report.extend(product_checks(product))
             report.records.extend(extra(product))
             if nu is not None:
-                report.extend(check_preunit(product, nu))
+                report.extend(check_preunit(system, nu))
                 if report.passed:
                     product = build_algebra(product, nu)
                     report.extend(algebra_checks(product))

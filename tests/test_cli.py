@@ -8,15 +8,14 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mutants import constant_spans
+from mutants import COMMANDS, constant_spans
+from wcpx import cli
 from wcpx.cli import main
 from wcpx.reporting import ANCHORS
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-COMMANDS = ("check-structure", "wcp-check", "wcp-build", "partial-check", "partial-build",
-            "unified-check", "unified-build", "equivalence-suite")
 
 
 def run(*args, env=None):
@@ -212,7 +211,7 @@ def test_zero_projector_fails_with_named_record(tmp_path, command):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_fixture_never_raises(tmp_path, data):
     # one to three structure constants of a shipped fixture changed: every
-    # build command answers with exit 0, 1 or 2, never with a traceback
+    # command answers with exit 0, 1 or 2, never with a traceback
     text = data.draw(st.sampled_from(sorted(FIXTURES.glob("*.wx")))).read_text()
     spans = data.draw(st.lists(st.sampled_from(constant_spans(text)),
                                min_size=1, max_size=3, unique=True))
@@ -220,11 +219,25 @@ def test_mutated_fixture_never_raises(tmp_path, data):
         text = text[:start] + data.draw(st.sampled_from(["0", "1", "-1", "2", "1/2"])) + text[end:]
     mutant = tmp_path / "mutant.wx"
     mutant.write_text(text)
-    for command in ("wcp-check", "wcp-build", "partial-build", "unified-build"):
+    for command in COMMANDS:
         result = run(command, mutant)
         assert result.exception is None or isinstance(result.exception, SystemExit), (
             command, text, result.exception)
         assert result.exit_code in (0, 1, 2), (command, text, result.output)
+
+
+def test_out_of_memory_in_a_check_exits_two_with_one_line(monkeypatch):
+    def exhausted(algebra):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_algebra", exhausted)
+    result = run("check-structure", FIXTURES / "broken_unit.wx")
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {FIXTURES / 'broken_unit.wx'}: block 'broken' "
+                      "is too large to check: out of memory"]
+    assert "Traceback" not in result.output
 
 
 def test_mis_shaped_psi_exits_two_at_its_declaration(tmp_path):

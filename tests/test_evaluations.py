@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from wcpx import partial_crossed as pc
 from wcpx import reporting
 from wcpx import unified_product as up
+from wcpx import weak_crossed as wc
 from wcpx.cli import main
 from wcpx.fields import QQ
 from wcpx.parser import parse
@@ -60,6 +61,22 @@ def test_cli_evaluates_each_check_once_per_block(command, fixture, evaluations):
     assert result.exit_code in ((2,) if blocks == 0 else (0, 1)), result.output
     repeated = {check: n for check, n in evaluations.items() if n > blocks}
     assert not repeated, f"{command} on {fixture} ({blocks} blocks): {repeated}"
+
+
+def test_wcp_check_builds_no_product(evaluations, monkeypatch):
+    original = wc.build_products
+
+    def refused(system):
+        raise AssertionError("wcp-check built a crossed product")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wcpx") and getattr(module, "build_products", None) is original:
+            monkeypatch.setattr(module, "build_products", refused)
+    result = CliRunner().invoke(main, ["wcp-check", str(FIXTURES / "tensor_wcp.wx")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0, result.output
+    # 3 reported gates, 2 projector checks, normalization and 6 preunit laws
+    assert sum(evaluations.values()) <= 12, evaluations
 
 
 @pytest.mark.parametrize("pipeline, example", [(partial_pipeline, partial_smash_action),

@@ -155,7 +155,7 @@ def test_smash_product_desk_numbers(field):
     report, product = pc.partial_pipeline(act)
     assert report.passed
     assert report.facts == {"nabla_rank": 3, "product_dim": 3}
-    mu = product.mu_tensor
+    mu = product.system.mu_tensor
     # (e1 (x) g) . (e1 (x) g) = e1 (x) 1
     col = mu.source.flatten((0, 1, 0, 1))
     hit = {mu.target.unflatten(r): str(v) for r, v in enumerate(mu.column(col)) if v}
@@ -168,7 +168,7 @@ def test_global_action_gives_tensor_product_algebra(field):
     act = pc.global_action(field)
     report, product = pc.partial_pipeline(act)
     assert report.passed
-    assert equals(product.nabla, identity(field, 4))
+    assert equals(product.system.nabla, identity(field, 4))
     assert equals(product.mu_times,
                   tensor_algebra(act.algebra, act.hopf.algebra).mul)
 
@@ -176,8 +176,11 @@ def test_global_action_gives_tensor_product_algebra(field):
 def test_build_raises_on_failing_action(field):
     act = pc.partial_smash_action(field)
     bad = replace(act, omega=set_column(act.omega, 3, {1: 1}))
-    with pytest.raises(wc.PreconditionError):
-        pc.build_partial_crossed_product(bad)
+    report, product = pc.partial_pipeline(bad)
+    assert product is None and report.failures()[0].check == "partial.twist_composite"
+    with pytest.raises(wc.PreconditionError) as err:
+        wc.require(report, "partial action check failed")
+    assert err.value.check_id == "partial.twist_composite"
 
 
 # -- oracles ------------------------------------------------------------------------
@@ -199,13 +202,13 @@ def test_vanishing_action_projector_matrix(field):
 def test_product_matches_elementwise_form(field):
     for name, act in all_actions(field):
         system = act.system
-        assert equals(wc.build_mu_tensor(system), pc.sweedler_product(act)), name
+        assert equals(system.mu_tensor, pc.sweedler_product(act)), name
 
 
 def test_product_dim_equals_projector_rank(field):
     for name, act in all_actions(field):
         report, product = pc.partial_pipeline(act)
-        assert product.dim == rank(product.nabla), name
+        assert product.dim == rank(product.system.nabla), name
 
 
 # -- equivalence theorems --------------------------------------------------------------

@@ -9,7 +9,7 @@ from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, braiding, equals, identity, set_column, shape,
                           tensor)
 from wcpx.structures import (BialgebraData, after_tensor_comul,
-                             builtin, check_algebra, check_bialgebra,
+                             check_algebra, check_bialgebra,
                              check_coalgebra, check_hopf, dual_group_algebra,
                              group_algebra, matrix_algebra, product_algebra,
                              product_of_coproducts, sweedler_h4)
@@ -93,6 +93,8 @@ def test_hopf_order_three_inverse_antipode(field):
 
 def test_sweedler_hopf(field):
     assert check_hopf(sweedler_h4(field)).passed
+    with pytest.raises(ValueError):
+        sweedler_h4(prime_field(2))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -107,25 +109,10 @@ def test_every_builtin_validates(base):
     assert check_hopf(sweedler_h4(base)).passed
     assert check_algebra(product_algebra(3, base)).passed
     assert check_algebra(matrix_algebra(2, base)).passed
-
-
-def test_builtin_lookup():
-    h = builtin("group_algebra", 2)
-    assert h.dim == 2 and check_hopf(h).passed
-    a = builtin("product_algebra", 2)
-    assert a.mul.entries[0][0] == QQ.one()      # e1 e1 = e1
+    a = product_algebra(2, base)
+    assert a.mul.entries[0][0] == base.one()    # e1 e1 = e1
     assert not any(a.mul.column(1))             # e1 e2 = 0
     assert [str(x) for x in a.unit.column(0)] == ["1", "1"]
-    assert check_hopf(builtin("sweedler_h4")).passed
-
-
-def test_builtin_errors():
-    with pytest.raises(ValueError):
-        builtin("mystery_algebra", 2)
-    with pytest.raises(ValueError):
-        builtin("group_algebra")
-    with pytest.raises(ValueError):
-        sweedler_h4(prime_field(2))
 
 
 @pytest.mark.parametrize("c,d", [(group_algebra(2), dual_group_algebra(3)),

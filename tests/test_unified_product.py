@@ -184,7 +184,7 @@ def test_trivial_datum_product_is_group_algebra_of_klein_four(field):
     assert report.passed
     expected = tensor_algebra(d.bialgebra.algebra,
                               group_algebra(2, field).algebra)
-    assert equals(product.mu_tensor, expected.mul)
+    assert equals(product.system.mu_tensor, expected.mul)
     assert equals(product.unit_times, tensor(d.bialgebra.unit, d.hobj.unit))
 
 
@@ -193,7 +193,7 @@ def test_smash_datum_product_desk_numbers(field):
     report, product = up.unified_pipeline(d)
     assert report.passed
     assert report.facts == {"nabla_is_identity": True, "product_dim": 6}
-    mu = product.mu_tensor
+    mu = product.system.mu_tensor
     col = mu.source.flatten((0, 1, 1, 0))                     # (1 (x) t).(c (x) 1)
     hit = {mu.target.unflatten(r): str(v) for r, v in enumerate(mu.column(col)) if v}
     assert hit == {(2, 1): "1"}                               # c^2 (x) t
@@ -205,14 +205,17 @@ def test_smash_datum_product_desk_numbers(field):
 def test_bullet_oracle_matches_categorical_product(field):
     for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
         system = d.system
-        assert equals(wc.build_mu_tensor(system), up.bullet_product(d)), name
+        assert equals(system.mu_tensor, up.bullet_product(d)), name
 
 
 def test_build_raises_on_invalid_datum(field):
     d = up.s3_smash_datum(field)
     bad = replace(d, phi_a=set_column(d.phi_a, 4, {1: 1, 2: 1}))
-    with pytest.raises(wc.PreconditionError):
-        up.build_unified_product(bad)
+    report, product = up.unified_pipeline(bad)
+    assert product is None and report.failures()[0].check == "unified.phi_a_comul"
+    with pytest.raises(wc.PreconditionError) as err:
+        wc.require(report, "extending datum check failed")
+    assert err.value.check_id == "unified.phi_a_comul"
 
 
 # -- equivalence theorems -------------------------------------------------------------------
@@ -252,6 +255,6 @@ def test_equivalences_skip_without_hypotheses(field):
 
 def test_swap_lemmas_on_valid_data(field):
     for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
-        report = up.support_lemmas_report(d)
-        assert report.passed, name
-        assert all(r.status == "pass" for r in report.records), name
+        suite = up.theorem_equivalence_suite_unified(d)
+        assert [suite[check].status for check in ("unified.lemma_swap_psi",
+                                                  "unified.lemma_swap_sigma")] == ["pass"] * 2, name
