@@ -5,20 +5,19 @@ factors.  Row r is a dict {col: value} holding only the nonzero entries of
 that row, so every map has exactly one representation: two maps are equal
 when their rows are equal as dicts, and the cost of every primitive
 follows the number of nonzero entries, not the dense size.  Composition,
-Kronecker product, the symmetric swap, permutation of source factors and
-idempotent splitting are the only primitives; every structural condition
-checked elsewhere in the package reduces to exact equality of such maps.
+Kronecker product, the symmetric swap, ``permute`` (of factors, also
+across the arrow) and idempotent splitting are the only primitives; every
+structural condition checked elsewhere reduces to exact equality of maps.
 
 A Kronecker product keeps its factors and builds its rows only when they
 are first read, then caches them.  ``compose`` contracts a Kronecker
 operand one factor at a time, skipping identity factors, and composes two
 Kronecker products factor by factor wherever their splits line up
 ((f (x) g)(h (x) k) = fh (x) gk); only where two splits do not line up
-does it build the rows of one side.  So the right side of the bialgebra
-axiom on a d-dimensional space, evaluated one index at a time through the
-Galois map (``structures.product_of_coproducts``), costs about 2 d^6
-operations, not the d^8 of a composite with the d^4-row Kronecker product
-``tensor(comul, comul)``.
+does it build the rows of one side.  Networks that fit no Kronecker
+product are contracted by plain composites of permuted maps: the right
+side of the bialgebra axiom (``structures.product_of_coproducts``) costs
+2 d^5 + d^6 operations, not the d^8 of ``tensor(comul, comul)``.
 
 Scalar boundary: inside the rows, an F_p entry is its residue as a plain
 int in 1..p-1, and a rational entry is an int when it is integral and a
@@ -476,30 +475,40 @@ def braiding(field: FieldSpec, m: int, n: int) -> LinMap:
     return LinMap._of(field, shape(m, n), shape(n, m), rows)
 
 
-def permute_source(f: LinMap, factors: tuple[int, ...], order: tuple[int, ...]) -> LinMap:
-    """f after the permutation of its source factors that puts factor order[k] in slot k.
+def permute(f: LinMap, target: tuple[int, ...], source: tuple[int, ...],
+            order: tuple[int, ...], split: int) -> LinMap:
+    """f read as ``source`` -> ``target`` factors, its multi-index over
+    ``target + source`` reordered so that slot k holds old factor ``order[k]``,
+    with the first ``split`` slots as the new target.
 
-    The source of f is read as the factors ``factors``; the result has
-    source factors ``factors[order[0]], factors[order[1]], ...``.  This is
-    ``f @ s`` for the permutation map s of tensor factors (for example
-    ``order=(0, 2, 1, 3)`` gives ``f @ tensor(id, braiding, id)``), with s
-    applied to column indices instead of being built as a matrix.
+    With the target kept in place this is f after a permutation of source
+    factors; a factor moved across the arrow is a partial transpose.  Each
+    nonzero entry is relabelled once.
     """
-    n = len(factors)
-    if sorted(order) != list(range(n)) or ObjectShape(tuple(factors)).total != f.source.total:
-        raise ShapeMismatchError(
-            f"cannot permute source {f.source} read as {factors} by {order}")
-    strides = [1] * n
-    for i in range(n - 1, 0, -1):
-        strides[i - 1] = strides[i] * factors[i]
-    moved = [0]  # new flat index -> old flat index
-    for k in order:
-        moved = [m + j * strides[k] for m in moved for j in range(factors[k])]
-    back = [0] * len(moved)
-    for new, old in enumerate(moved):
-        back[old] = new
-    rows = [{back[c]: v for c, v in row.items()} for row in f._rows]
-    return LinMap._of(f.field, ObjectShape(tuple(factors[k] for k in order)), f.target, rows)
+    dims = (*target, *source)
+    n, t = len(dims), len(target)
+    if (sorted(order) != list(range(n)) or not 0 <= split <= n
+            or ObjectShape(tuple(target)).total != f.target.total
+            or ObjectShape(tuple(source)).total != f.source.total):
+        raise ShapeMismatchError(f"cannot permute {f.source} -> {f.target} read as "
+                                 f"{source} -> {target} by {order} split at {split}")
+    new = [dims[k] for k in order]
+    stride, step = [0] * n, 1  # stride of each old factor in the new flat multi-index
+    for slot in reversed(range(n)):
+        stride[order[slot]], step = step, step * new[slot]
+    row_at, col_at = [0], [0]  # old row or column -> its part of the new flat index
+    for k, d in enumerate(dims):
+        part = row_at if k < t else col_at
+        part[:] = [x + j * stride[k] for x in part for j in range(d)]
+    new_target, new_source = ObjectShape(tuple(new[:split])), ObjectShape(tuple(new[split:]))
+    width = new_source.total
+    rows: list[Row] = [{} for _ in range(new_target.total)]
+    for r, row in enumerate(f._rows):
+        base = row_at[r]
+        for c, v in row.items():
+            r2, c2 = divmod(base + col_at[c], width)
+            rows[r2][c2] = v
+    return LinMap._of(f.field, new_source, new_target, rows)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcpx import linmaps
+from wcpx import linmaps, structures
 from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, NotIdempotentError, ObjectShape,
                           ShapeMismatchError, braiding, compose, equals,
-                          first_difference, identity, permute_source,
+                          first_difference, identity, permute,
                           rank, shape, split_idempotent, tensor)
 from wcpx.structures import (check_algebra, check_coalgebra, check_hopf,
-                             group_algebra)
+                             group_algebra, product_of_coproducts)
 
 F5 = prime_field(5)
 FIELDS = [QQ, F5]
@@ -337,7 +338,7 @@ def test_permute_source_is_composite_with_middle_swap(field, data):
     f = LinMap(field, shape(a, b, c, d), shape(rows),
                data.draw(dense_st(field, rows, a * b * c * d)))
     swapped = tensor(identity(field, a), braiding(field, c, b), identity(field, d))
-    got = permute_source(f, (a, b, c, d), (0, 2, 1, 3))
+    got = permute(f, (rows,), (a, b, c, d), (0, 1, 3, 2, 4), 1)
     assert got.source.factors == (a, c, b, d)
     assert as_lists(got) == as_lists(f @ swapped)
 
@@ -345,9 +346,54 @@ def test_permute_source_is_composite_with_middle_swap(field, data):
 def test_permute_source_rejects_bad_permutation():
     f = identity(QQ, shape(2, 3))
     with pytest.raises(ShapeMismatchError):
-        permute_source(f, (2, 3), (0, 0))
+        permute(f, (2, 3), (2, 3), (0, 1, 2, 2), 2)
     with pytest.raises(ShapeMismatchError):
-        permute_source(f, (2, 2), (1, 0))
+        permute(f, (2, 3), (2, 2), (0, 1, 3, 2), 2)
+
+
+@pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_permute_matches_dense_reference_and_inverts(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    factors = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    t = data.draw(st.integers(min_value=0, max_value=n))  # old factors left of the arrow
+    order = tuple(data.draw(st.permutations(range(n))))
+    split = data.draw(st.integers(min_value=0, max_value=n))
+    old_t, old_s = shape(*factors[:t]), shape(*factors[t:])
+    ref = data.draw(dense_st(field, old_t.total, old_s.total))
+    f = LinMap(field, old_s, old_t, ref)
+    got = permute(f, old_t.factors, old_s.factors, order, split)
+    new = tuple(factors[k] for k in order)
+    assert (got.target.factors, got.source.factors) == (new[:split], new[split:])
+    # index by index: slot k of the new multi-index is old factor order[k]
+    for r in range(got.target.total):
+        for c in range(got.source.total):
+            multi = got.target.unflatten(r) + got.source.unflatten(c)
+            old = [0] * n
+            for k, i in zip(order, multi):
+                old[k] = i
+            assert got.at(r, c) == ref[old_t.flatten(tuple(old[:t]))][old_s.flatten(tuple(old[t:]))]
+    assert_canonical(got)
+    inverse = tuple(order.index(k) for k in range(n))
+    back = permute(got, got.target.factors, got.source.factors, inverse, t)
+    assert back == f
+
+
+@pytest.mark.parametrize("order,target,source", [
+    ((0, 1, 1), (2,), (2, 3)),        # not a permutation
+    ((0, 1), (2,), (2, 3)),           # too few slots
+    ((0, 1, 2), (2,), (2, 2)),        # source dims do not multiply to 6
+    ((0, 1, 2), (4,), (2, 3)),        # target dims do not multiply to 2
+])
+def test_permute_rejects_bad_order_or_dims_before_reading_rows(order, target, source):
+    f = tensor(identity(QQ, 2), LinMap(QQ, shape(3), shape(1), [[1, 2, 3]]))
+    with pytest.raises(ShapeMismatchError):
+        permute(f, target, source, order, 1)
+    assert f._built is None, "the Kronecker rows were built before the check"
+    with pytest.raises(ShapeMismatchError):
+        permute(f, (2,), (2, 3), (0, 1, 2), 4)  # split beyond the last slot
+    assert f._built is None
 
 
 @pytest.mark.parametrize("field", REF_FIELDS, ids=REF_IDS)
@@ -547,6 +593,36 @@ def test_hopf_check_never_builds_rows_of_coproduct_or_product_kronecker(monkeypa
         assert not any(m is h.comul for m in factors), factors
         assert not (any(m is h.mul for m in factors)
                     and any(m == identity(m.field, m.source) for m in factors)), factors
+
+
+def test_product_of_coproducts_builds_no_kronecker_product(monkeypatch):
+    # the ring mu - Delta - mu - Delta is contracted by plain composites of
+    # permuted structure maps: no tensor call, so no Kronecker rows either
+    calls = []
+    kron_rows, tensor_ = linmaps._kron_rows, linmaps.tensor
+
+    def counting_rows(factors, p):
+        calls.append(("rows", factors))
+        return kron_rows(factors, p)
+
+    def counting_tensor(*maps):
+        calls.append(("tensor", maps))
+        return tensor_(*maps)
+
+    monkeypatch.setattr(linmaps, "_kron_rows", counting_rows)
+    monkeypatch.setattr(linmaps, "tensor", counting_tensor)
+    monkeypatch.setattr(structures, "tensor", counting_tensor)
+    rng, f101, d = random.Random(101), prime_field(101), 5
+    dense_mul = LinMap(f101, shape(d, d), shape(d),
+                       [[rng.randrange(1, 101) for _ in range(d * d)] for _ in range(d)])
+    dense_comul = LinMap(f101, shape(d), shape(d, d),
+                         [[rng.randrange(1, 101) for _ in range(d)] for _ in range(d * d)])
+    h = group_algebra(7)
+    for mul, comul, dim in [(h.mul, h.comul, 7), (dense_mul, dense_comul, d)]:
+        assert not product_of_coproducts(mul, comul, dim).is_zero()
+    assert calls == []
+    structures.tensor(h.mul, h.mul)  # the counters see a call
+    assert [kind for kind, _ in calls] == ["tensor"]
 
 
 def test_hopf_check_of_c16_builds_no_kronecker_rows_beyond_d_cubed(monkeypatch):
