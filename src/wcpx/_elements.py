@@ -17,10 +17,6 @@ def basis_vec(i: int, field) -> Vec:
     return {i: field.one()}
 
 
-def unit_vec(unit: LinMap) -> Vec:
-    return unit.column_entries(0)
-
-
 def add_into(acc: Vec, vec: Vec, factor=None) -> None:
     for k, v in vec.items():
         w = v if factor is None else factor * v

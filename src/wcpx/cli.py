@@ -211,7 +211,7 @@ def wcp_build(path: str, report_path: str | None, name: str | None) -> None:
 def partial_check(path: str, report_path: str | None, name: str | None) -> None:
     """Check the twisted-partial-action conditions."""
     _run(path, report_path, name, "partial_action",
-         lambda sf: sf.partial_actions.items(), lambda decl: partial_report(decl.action))
+         lambda sf: sf.partial_actions.items(), partial_report)
 
 
 @main.command("partial-build")
@@ -221,14 +221,14 @@ def partial_check(path: str, report_path: str | None, name: str | None) -> None:
 def partial_build(path: str, report_path: str | None, name: str | None) -> None:
     """Build the partial crossed product on the projector image."""
     _run(path, report_path, name, "partial_action",
-         lambda sf: sf.partial_actions.items(), lambda decl: partial_pipeline(decl.action)[0])
+         lambda sf: sf.partial_actions.items(), lambda act: partial_pipeline(act)[0])
 
 
-def _unified_check(decl) -> Report:
+def _unified_check(datum) -> Report:
     report = Report()
     for check in (check_extending_datum, multiplicativity_report, lemma_identities_report,
                   check_be, check_nabla_identity):
-        report.extend(check(decl.datum))
+        report.extend(check(datum))
     return report
 
 
@@ -249,12 +249,11 @@ def unified_check(path: str, report_path: str | None, name: str | None) -> None:
 def unified_build(path: str, report_path: str | None, name: str | None) -> None:
     """Build the unified product on the full tensor space."""
     _run(path, report_path, name, "extending_datum",
-         lambda sf: sf.extending_data.items(), lambda decl: unified_pipeline(decl.datum)[0])
+         lambda sf: sf.extending_data.items(), lambda datum: unified_pipeline(datum)[0])
 
 
 def _suite_inputs(sf: StructureFile) -> list[tuple[str, object]]:
-    return ([(block, decl.action) for block, decl in sf.partial_actions.items()]
-            + [(block, decl.datum) for block, decl in sf.extending_data.items()])
+    return [*sf.partial_actions.items(), *sf.extending_data.items()]
 
 
 def _suite(data) -> Report:

@@ -265,29 +265,6 @@ class LinMap:
     def tensor(self, *others: "LinMap") -> "LinMap":
         return tensor(self, *others)
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if self.source.total != other.source.total or self.target.total != other.target.total:
-            raise ShapeMismatchError(f"cannot add maps {self.source}->{self.target} "
-                                     f"and {other.source}->{other.target}")
-        _same_field(self, other)
-        rows = []
-        for a, b in zip(self._rows, other._rows):
-            acc = dict(a)
-            for c, v in b.items():
-                acc[c] = acc[c] + v if c in acc else v
-            rows.append(_canonical(acc, self.field.characteristic))
-        return LinMap._of(self.field, self.source, self.target, rows)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "LinMap":
-        s = _raw(self.field, scalar)
-        p = self.field.characteristic
-        rows = [{c: v * s % p if p else v * s for c, v in row.items()} if s else {}
-                for row in self._rows]
-        return LinMap._of(self.field, self.source, self.target, rows)
-
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -543,23 +520,6 @@ def first_difference(f: LinMap, g: LinMap) -> Difference | None:
             c = min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
             return Difference(r, c, _scalar(f.field, a.get(c, 0)), _scalar(f.field, b.get(c, 0)))
     return None
-
-
-def set_column(m: LinMap, col: int, values: dict[int, object]) -> LinMap:
-    """Copy of m with one column replaced by the given sparse vector."""
-    _check_index(0, col, m.source, m.target)
-    column = {}
-    for r, x in values.items():
-        _check_index(r, col, m.source, m.target)
-        column[r] = _raw(m.field, x)
-    rows = []
-    for r, row in enumerate(m._rows):
-        row = dict(row)
-        row.pop(col, None)
-        if column.get(r):
-            row[col] = column[r]
-        rows.append(row)
-    return LinMap._of(m.field, m.source, m.target, rows)
 
 
 def _rref(rows: list[Row], p: int) -> tuple[list[Row], list[int]]:

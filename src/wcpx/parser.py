@@ -1,4 +1,4 @@
-"""Line-oriented structure files: parsing and canonical re-emission.
+"""Line-oriented structure files, parsed straight to the objects they declare.
 
 A file declares one field, then named blocks.  Structure blocks give
 sparse structure constants with 1-based basis indices:
@@ -15,6 +15,9 @@ sparse structure constants with 1-based basis indices:
 Block kinds: algebra, coalgebra, bialgebra, hopf, prehopf, morphism,
 crossed_system, partial_action, extending_datum.  Every name must be
 declared before it is referenced; omitted structure constants are zero.
+A partial_action block parses to its ``TwistedPartialAction``, an
+extending_datum block to its ``ExtendingDatum`` and a crossed_system block
+to its ``CrossedSystem`` with the optional preunit.
 """
 
 from __future__ import annotations
@@ -41,37 +44,13 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class CrossedSystemDecl:
-    algebra_name: str
-    psi_name: str
-    sigma_name: str
     system: CrossedSystem
-    preunit_name: str | None = None
     preunit: LinMap | None = None
-
-
-@dataclass(frozen=True)
-class PartialActionDecl:
-    hopf_name: str
-    algebra_name: str
-    phi_name: str
-    omega_name: str
-    action: TwistedPartialAction
-
-
-@dataclass(frozen=True)
-class ExtendingDatumDecl:
-    bialgebra_name: str
-    prehopf_name: str
-    phi_h_name: str
-    phi_a_name: str
-    tau_name: str
-    datum: ExtendingDatum
 
 
 @dataclass
 class StructureFile:
     field: FieldSpec
-    field_declared: bool = dc_field(default=False, compare=False)
     algebras: dict[str, AlgebraData] = dc_field(default_factory=dict)
     coalgebras: dict[str, CoalgebraData] = dc_field(default_factory=dict)
     bialgebras: dict[str, BialgebraData] = dc_field(default_factory=dict)
@@ -79,8 +58,8 @@ class StructureFile:
     prehopf_objects: dict[str, PreHopfObject] = dc_field(default_factory=dict)
     morphisms: dict[str, LinMap] = dc_field(default_factory=dict)
     crossed_systems: dict[str, CrossedSystemDecl] = dc_field(default_factory=dict)
-    partial_actions: dict[str, PartialActionDecl] = dc_field(default_factory=dict)
-    extending_data: dict[str, ExtendingDatumDecl] = dc_field(default_factory=dict)
+    partial_actions: dict[str, TwistedPartialAction] = dc_field(default_factory=dict)
+    extending_data: dict[str, ExtendingDatum] = dc_field(default_factory=dict)
     order: list[tuple[str, str]] = dc_field(default_factory=list)
 
     def dim_of(self, name: str) -> int | None:
@@ -95,31 +74,41 @@ class StructureFile:
 
 
 _STRUCT_KINDS = ("algebra", "coalgebra", "bialgebra", "hopf", "prehopf")
+# declaration kind -> (its StructureFile table, the type built, its required keys
+# in the order they are resolved and passed); crossed_system also takes preunit=
+_DECLS = {
+    "crossed_system": ("crossed_systems", CrossedSystem, ("algebra", "v", "psi", "sigma")),
+    "partial_action": ("partial_actions", TwistedPartialAction,
+                       ("hopf", "algebra", "phi", "omega")),
+    "extending_datum": ("extending_data", ExtendingDatum,
+                        ("bialgebra", "prehopf", "phi_h", "phi_a", "tau")),
+}
+# declaration key -> (the StructureFile table it names an entry of, what that is called)
+_NAMED = {"algebra": ("algebras", "algebra"), "hopf": ("hopf_algebras", "hopf algebra"),
+          "bialgebra": ("bialgebras", "bialgebra"),
+          "prehopf": ("prehopf_objects", "prehopf object")}
 _BODY_KEYS = {"unit", "counit", "mul", "comul", "antipode", "e"}
 
 
 class _Block:
-    def __init__(self, kind: str, name: str, dim: int, line: int) -> None:
+    def __init__(self, kind: str, name: str, dim: int) -> None:
         self.kind = kind
         self.name = name
         self.dim = dim
-        self.line = line
         self.unit: dict[tuple[int, int], object] = {}
         self.counit: dict[tuple[int, int], object] = {}
         self.mul: dict[tuple[int, int], object] = {}
         self.comul: dict[tuple[int, int], object] = {}
         self.antipode: dict[tuple[int, int], object] = {}
-        self.seen: set[str] = set()
 
 
 class _Parser:
     def __init__(self, text: str, default_field: FieldSpec | None) -> None:
         self.lines = text.splitlines()
         self.default_field = default_field or QQ
-        self.result: StructureFile | None = None
         self.field: FieldSpec | None = None
         self.block: _Block | None = None
-        self.morphism: tuple[str, ObjectShape, ObjectShape, dict, int] | None = None
+        self.morphism: tuple[str, ObjectShape, ObjectShape, dict] | None = None
         self.started = False  # any block seen yet
 
     # -- helpers ------------------------------------------------------------
@@ -158,7 +147,7 @@ class _Parser:
             self.finish_block(self.block, out)
             self.block = None
         if self.morphism is not None:
-            name, src, tgt, values, _ = self.morphism
+            name, src, tgt, values = self.morphism
             out.morphisms[name] = LinMap.from_dict(out.field, src, tgt, values)
             out.order.append(("morphism", name))
             self.morphism = None
@@ -195,15 +184,22 @@ class _Parser:
                 or (self.morphism and self.morphism[0] == name):
             raise self.error(lineno, self.col_of(lineno, name), f"name {name!r} already declared")
 
-    def parse_shape(self, shape_text: str, out: StructureFile, lineno: int) -> ObjectShape:
+    def parse_shape(self, shape_text: str, col: int, out: StructureFile,
+                    lineno: int) -> ObjectShape:
+        """The shape written in ``shape_text``, which starts at column ``col``."""
+        col += len(shape_text) - len(shape_text.lstrip())
         shape_text = shape_text.strip()
         for sign in TENSOR_SIGNS[1:]:
             shape_text = shape_text.replace(sign, TENSOR_SIGNS[0])
         dims: list[int] = []
-        for piece in shape_text.split(TENSOR_SIGNS[0]):
-            piece = piece.strip()
+        for factor in shape_text.split(TENSOR_SIGNS[0]):
+            piece = factor.strip()
             if not piece:
                 raise self.error(lineno, 1, f"empty factor in shape {shape_text!r}")
+            if piece.isdigit() and not int(piece):
+                raise self.error(lineno, col + factor.index(piece),
+                                 f"zero factor in shape {shape_text!r}")
+            col += len(factor) + 1
             if piece == "K":
                 continue
             if piece.isdigit():
@@ -228,10 +224,20 @@ class _Parser:
             found[key] = value
         return found
 
-    def lookup_morphism(self, name: str, out: StructureFile, lineno: int) -> LinMap:
-        if name not in out.morphisms:
-            raise self.error(lineno, self.col_of(lineno, name), f"unknown morphism {name!r}")
-        return out.morphisms[name]
+    def lookup(self, key: str, text: str, out: StructureFile, lineno: int):
+        """The object that ``key=text`` of a declaration names: the dimension
+        for ``v``, a structure for a key in ``_NAMED``, else a morphism."""
+        if key == "v":
+            vdim = int(text) if text.isdigit() else out.dim_of(text) or 0
+            if vdim < 1:
+                raise self.error(lineno, self.col_of(lineno, text),
+                                 f"cannot resolve object dimension {text!r}")
+            return vdim
+        table, what = _NAMED.get(key, ("morphisms", "morphism"))
+        declared = getattr(out, table)
+        if text not in declared:
+            raise self.error(lineno, self.col_of(lineno, text), f"unknown {what} {text!r}")
+        return declared[text]
 
     # -- main loop ---------------------------------------------------------------
 
@@ -262,7 +268,6 @@ class _Parser:
             except FieldError as exc:
                 raise self.error(lineno, self.col_of(lineno, words[1]), str(exc)) from exc
             out.field = self.field
-            out.field_declared = True
             return
 
         if key in _STRUCT_KINDS:
@@ -275,7 +280,7 @@ class _Parser:
                 raise self.error(lineno, self.col_of(lineno, words[3]),
                                  "dimension must be positive")
             self.declare_name(name, out, lineno)
-            self.block = _Block(key, name, dim, lineno)
+            self.block = _Block(key, name, dim)
             return
 
         if key == "morphism":
@@ -288,9 +293,10 @@ class _Parser:
             src_text, arrow, tgt_text = tail.partition("->")
             if not arrow:
                 raise self.error(lineno, 1, "morphism shape needs '->'")
-            src = self.parse_shape(src_text, out, lineno)
-            tgt = self.parse_shape(tgt_text, out, lineno)
-            self.morphism = (name, src, tgt, {}, lineno)
+            start = len(head) + 2  # the column after ':'
+            src = self.parse_shape(src_text, start, out, lineno)
+            tgt = self.parse_shape(tgt_text, start + len(src_text) + 2, out, lineno)
+            self.morphism = (name, src, tgt, {})
             return
 
         if key in ("crossed_system", "partial_action", "extending_datum"):
@@ -311,92 +317,34 @@ class _Parser:
 
     def parse_decl(self, kind: str, name: str, tail: str, lineno: int,
                    out: StructureFile) -> None:
-        if kind == "crossed_system":
-            pairs = self.parse_pairs(tail, lineno, ("algebra", "v", "psi", "sigma", "preunit"))
-            for required in ("algebra", "v", "psi", "sigma"):
-                if required not in pairs:
-                    raise self.error(lineno, 1, f"crossed_system needs {required}=")
-            alg_name = pairs["algebra"]
-            if alg_name not in out.algebras:
-                raise self.error(lineno, self.col_of(lineno, alg_name),
-                                 f"unknown algebra {alg_name!r}")
-            v_spec = pairs["v"]
-            vdim = int(v_spec) if v_spec.isdigit() else out.dim_of(v_spec) or 0
-            if vdim < 1:
-                raise self.error(lineno, self.col_of(lineno, v_spec),
-                                 f"cannot resolve object dimension {v_spec!r}")
-            psi = self.lookup_morphism(pairs["psi"], out, lineno)
-            sigma = self.lookup_morphism(pairs["sigma"], out, lineno)
-            preunit_name = pairs.get("preunit")
-            preunit = (self.lookup_morphism(preunit_name, out, lineno)
-                       if preunit_name else None)
-            alg = out.algebras[alg_name]
-            try:
-                system = CrossedSystem(alg, vdim, psi, sigma)
-            except ValueError as exc:
-                raise self.error(lineno, 1, str(exc)) from exc
-            if preunit is not None and (preunit.source.total != 1
-                                        or preunit.target.total != alg.dim * vdim):
-                raise self.error(lineno, 1, "preunit must map K -> A⊗V")
-            out.crossed_systems[name] = CrossedSystemDecl(
-                alg_name, pairs["psi"], pairs["sigma"], system, preunit_name, preunit)
-            out.order.append(("crossed_system", name))
-            return
-
-        if kind == "partial_action":
-            pairs = self.parse_pairs(tail, lineno, ("hopf", "algebra", "phi", "omega"))
-            for required in ("hopf", "algebra", "phi", "omega"):
-                if required not in pairs:
-                    raise self.error(lineno, 1, f"partial_action needs {required}=")
-            if pairs["hopf"] not in out.hopf_algebras:
-                raise self.error(lineno, self.col_of(lineno, pairs["hopf"]),
-                                 f"unknown hopf algebra {pairs['hopf']!r}")
-            if pairs["algebra"] not in out.algebras:
-                raise self.error(lineno, self.col_of(lineno, pairs["algebra"]),
-                                 f"unknown algebra {pairs['algebra']!r}")
-            phi = self.lookup_morphism(pairs["phi"], out, lineno)
-            omega = self.lookup_morphism(pairs["omega"], out, lineno)
-            try:
-                action = TwistedPartialAction(out.hopf_algebras[pairs["hopf"]],
-                                              out.algebras[pairs["algebra"]], phi, omega)
-            except ValueError as exc:
-                raise self.error(lineno, 1, str(exc)) from exc
-            out.partial_actions[name] = PartialActionDecl(
-                pairs["hopf"], pairs["algebra"], pairs["phi"], pairs["omega"], action)
-            out.order.append(("partial_action", name))
-            return
-
-        pairs = self.parse_pairs(tail, lineno,
-                                 ("bialgebra", "prehopf", "phi_h", "phi_a", "tau"))
-        for required in ("bialgebra", "prehopf", "phi_h", "phi_a", "tau"):
+        """Build the declared object from its keys, resolved in the order of ``_DECLS``."""
+        table, build, keys = _DECLS[kind]
+        optional = ("preunit",) if kind == "crossed_system" else ()
+        pairs = self.parse_pairs(tail, lineno, keys + optional)
+        for required in keys:
             if required not in pairs:
-                raise self.error(lineno, 1, f"extending_datum needs {required}=")
-        if pairs["bialgebra"] not in out.bialgebras:
-            raise self.error(lineno, self.col_of(lineno, pairs["bialgebra"]),
-                             f"unknown bialgebra {pairs['bialgebra']!r}")
-        if pairs["prehopf"] not in out.prehopf_objects:
-            raise self.error(lineno, self.col_of(lineno, pairs["prehopf"]),
-                             f"unknown prehopf object {pairs['prehopf']!r}")
-        phi_h = self.lookup_morphism(pairs["phi_h"], out, lineno)
-        phi_a = self.lookup_morphism(pairs["phi_a"], out, lineno)
-        tau = self.lookup_morphism(pairs["tau"], out, lineno)
+                raise self.error(lineno, 1, f"{kind} needs {required}=")
+        args = [self.lookup(key, pairs[key], out, lineno) for key in keys]
+        preunit = (self.lookup("preunit", pairs["preunit"], out, lineno)
+                   if pairs.get("preunit") else None)
         try:
-            datum = ExtendingDatum(out.bialgebras[pairs["bialgebra"]],
-                                   out.prehopf_objects[pairs["prehopf"]],
-                                   phi_h, phi_a, tau)
+            declared = build(*args)
         except ValueError as exc:
             raise self.error(lineno, 1, str(exc)) from exc
-        out.extending_data[name] = ExtendingDatumDecl(
-            pairs["bialgebra"], pairs["prehopf"], pairs["phi_h"], pairs["phi_a"],
-            pairs["tau"], datum)
-        out.order.append(("extending_datum", name))
+        if kind == "crossed_system":
+            if preunit is not None and (preunit.source.total != 1 or preunit.target.total
+                                        != declared.algebra.dim * declared.vdim):
+                raise self.error(lineno, 1, "preunit must map K -> A⊗V")
+            declared = CrossedSystemDecl(declared, preunit)
+        getattr(out, table)[name] = declared
+        out.order.append((kind, name))
 
     def parse_body(self, key: str, words: list[str], colon: str, tail: str,
                    lineno: int, out: StructureFile) -> None:
         if key == "e":
             if self.morphism is None:
                 raise self.error(lineno, 1, "'e' line outside a morphism block")
-            name, src, tgt, values, _ = self.morphism
+            name, src, tgt, values = self.morphism
             if len(words) != 2 or not colon:
                 raise self.error(lineno, 1, "expected: e <col> : <row>=<scalar> ...")
             col = self.index(words[1], src.total, lineno, "column")
@@ -439,7 +387,6 @@ class _Parser:
                         table[(i, 0)] = value
                     else:
                         table[(0, i)] = value
-            b.seen.add(key)
             return
 
         if key == "mul":
@@ -490,80 +437,3 @@ class _Parser:
 def parse(text: str, default_field: FieldSpec | None = None) -> StructureFile:
     """Parse structure-file text; raises ParseError with line and column."""
     return _Parser(text, default_field).parse()
-
-
-# ---------------------------------------------------------------------------
-# canonical emission
-
-def _fmt(field: FieldSpec, value) -> str:
-    return field.format(value)
-
-
-def _emit_columns(lines: list[str], prefix_for, m: LinMap, field: FieldSpec) -> None:
-    for col in range(m.source.total):
-        assignments = [f"{r + 1}={_fmt(field, v)}" for r, v in m.column_entries(col).items()]
-        if assignments:
-            lines.append(f"{prefix_for(col)} : {' '.join(assignments)}")
-
-
-def _emit_structure(lines: list[str], kind: str, name: str, data, field: FieldSpec) -> None:
-    dim = data.dim
-    lines.append(f"{kind} {name} dim {dim}")
-    if kind in ("algebra", "bialgebra", "hopf", "prehopf"):
-        unit_col = [_fmt(field, v) for v in data.unit.column(0)]
-        lines.append(f"unit: {' '.join(unit_col)}")
-        _emit_columns(lines,
-                      lambda col: f"mul {col // dim + 1} {col % dim + 1}",
-                      data.mul, field)
-    if kind in ("coalgebra", "bialgebra", "hopf", "prehopf"):
-        counit_row = [_fmt(field, data.counit.at(0, i)) for i in range(dim)]
-        lines.append(f"counit: {' '.join(counit_row)}")
-        comul = data.comul
-        for col in range(dim):
-            assignments = [f"({r // dim + 1},{r % dim + 1})={_fmt(field, v)}"
-                           for r, v in comul.column_entries(col).items()]
-            if assignments:
-                lines.append(f"comul {col + 1} : {' '.join(assignments)}")
-    if kind == "hopf":
-        _emit_columns(lines, lambda col: f"antipode {col + 1}", data.antipode, field)
-    lines.append("")
-
-
-def emit_structure_file(sf: StructureFile) -> str:
-    """Canonical text for a parsed file; parsing it back gives equal data."""
-    field = sf.field
-    lines = [f"field {field}", ""]
-    for kind, name in sf.order:
-        if kind in _STRUCT_KINDS:
-            data = {"algebra": sf.algebras, "coalgebra": sf.coalgebras,
-                    "bialgebra": sf.bialgebras, "hopf": sf.hopf_algebras,
-                    "prehopf": sf.prehopf_objects}[kind][name]
-            _emit_structure(lines, kind, name, data, field)
-        elif kind == "morphism":
-            m = sf.morphisms[name]
-            src = "⊗".join(str(d) for d in m.source.factors) or "K"
-            tgt = "⊗".join(str(d) for d in m.target.factors) or "K"
-            lines.append(f"morphism {name} : {src} -> {tgt}")
-            _emit_columns(lines, lambda col: f"e {col + 1}", m, field)
-            lines.append("")
-        elif kind == "crossed_system":
-            decl = sf.crossed_systems[name]
-            extra = f" preunit={decl.preunit_name}" if decl.preunit_name else ""
-            lines.append(f"crossed_system {name} : algebra={decl.algebra_name} "
-                         f"v={decl.system.vdim} psi={decl.psi_name} sigma={decl.sigma_name}{extra}")
-            lines.append("")
-        elif kind == "partial_action":
-            decl = sf.partial_actions[name]
-            lines.append(f"partial_action {name} : hopf={decl.hopf_name} "
-                         f"algebra={decl.algebra_name} phi={decl.phi_name} "
-                         f"omega={decl.omega_name}")
-            lines.append("")
-        elif kind == "extending_datum":
-            decl = sf.extending_data[name]
-            lines.append(f"extending_datum {name} : bialgebra={decl.bialgebra_name} "
-                         f"prehopf={decl.prehopf_name} phi_h={decl.phi_h_name} "
-                         f"phi_a={decl.phi_a_name} tau={decl.tau_name}")
-            lines.append("")
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines) + "\n"

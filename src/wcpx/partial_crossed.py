@@ -18,8 +18,7 @@ from .fields import FieldSpec
 from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, tensor
 from .reporting import (CheckRecord, Report, anchor_for, equality_record, memoised,
                         predicate_record)
-from .structures import (AlgebraData, HopfData, after_tensor_comul, group_algebra,
-                         product_algebra)
+from .structures import AlgebraData, HopfData, after_tensor_comul
 from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
                            product_report)
 
@@ -200,25 +199,6 @@ def nabla_unit_form(act: TwistedPartialAction) -> LinMap:
             @ tensor(ida, h.unit, h.comul))
 
 
-def sweedler_nabla(act: TwistedPartialAction) -> LinMap:
-    """Elementwise oracle for the projector: a (x) h -> sum a(h1 . 1) (x) h2."""
-    h, a = act.hopf, act.algebra
-    field = act.field
-    one_a = el.unit_vec(a.unit)
-    values: dict[tuple[int, int], object] = {}
-    for ai in range(a.dim):
-        for hi in range(h.dim):
-            col = ai * h.dim + hi
-            for (h1, h2), c in el.expand_pairs(h.comul, hi):
-                moved = el.apply_to_pair(act.phi, el.basis_vec(h1, field), one_a)
-                prod = el.apply_to_pair(a.mul, el.basis_vec(ai, field), moved)
-                for k, v in prod.items():
-                    key = (k * h.dim + h2, col)
-                    values[key] = values.get(key, field.zero()) + c * v
-    sh = ObjectShape((a.dim, h.dim))
-    return LinMap.from_dict(field, sh, sh, {k: v for k, v in values.items() if v})
-
-
 def sweedler_product(act: TwistedPartialAction) -> LinMap:
     """Elementwise oracle for the crossed product on A (x) H:
 
@@ -291,46 +271,3 @@ def theorem_equivalence_suite(act: TwistedPartialAction) -> Report:
         note=f"partial side {'pass' if partial_cocycle else 'fail'}, "
              f"quadruple side {'pass' if eq_cocycle else 'fail'}"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# canonical fixtures
-
-def smash_omega(hopf: HopfData, algebra: AlgebraData, phi: LinMap) -> LinMap:
-    """The cocycle omega(h (x) l) = phi(h (x) phi(l (x) 1)) of a smash-style action."""
-    idh = hopf.algebra.id_map
-    return phi @ tensor(idh, phi @ tensor(idh, algebra.unit))
-
-
-def global_action(field: FieldSpec) -> TwistedPartialAction:
-    """The trivial global action of the order-2 group algebra on itself."""
-    hopf = group_algebra(2, field)
-    alg = group_algebra(2, field).algebra
-    phi = tensor(hopf.counit, alg.id_map)
-    omega = alg.unit @ tensor(hopf.counit, hopf.counit)
-    return TwistedPartialAction(hopf, alg, phi, omega)
-
-
-def lambda_zero_action(field: FieldSpec) -> TwistedPartialAction:
-    """The rank-one partial action on the base field killing the group generator."""
-    hopf = group_algebra(2, field)
-    alg = product_algebra(1, field)
-    one = field.one()
-    phi = LinMap.from_dict(field, ObjectShape((2, 1)), ObjectShape((1,)), {(0, 0): one})
-    omega = LinMap.from_dict(field, ObjectShape((2, 2)), ObjectShape((1,)), {(0, 0): one})
-    return TwistedPartialAction(hopf, alg, phi, omega)
-
-
-def partial_smash_action(field: FieldSpec) -> TwistedPartialAction:
-    """The order-2 group algebra acting partially on the split plane k x k.
-
-    The generator fixes e1 and kills e2; the cocycle is the smash-style
-    one, omega(h (x) l) = h.(l.1).
-    """
-    hopf = group_algebra(2, field)
-    alg = product_algebra(2, field)
-    one = field.one()
-    phi = LinMap.from_dict(field, ObjectShape((2, 2)), ObjectShape((2,)),
-                           {(0, 0): one, (1, 1): one, (0, 2): one})
-    omega = smash_omega(hopf, alg, phi)
-    return TwistedPartialAction(hopf, alg, phi, omega)

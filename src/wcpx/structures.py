@@ -2,17 +2,15 @@
 
 Each bundle stores its structure morphisms as LinMaps over a fixed basis.
 The check_* validators evaluate the defining axioms exactly and report a
-witness basis tuple whenever two sides differ.  A small catalog of
-standard examples doubles as the package's test bed.
+witness basis tuple whenever two sides differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ, FieldSpec
-from .linmaps import (LinMap, ObjectShape, ShapeMismatchError, UNIT_SHAPE,
-                      identity, permute, tensor)
+from .fields import FieldSpec
+from .linmaps import LinMap, ShapeMismatchError, UNIT_SHAPE, identity, permute, tensor
 from .reporting import Report, equality_record
 
 
@@ -30,10 +28,6 @@ class AlgebraData:
             raise ShapeMismatchError(f"unit must map K -> A, got {self.unit}")
         if self.mul.source.total != self.dim ** 2 or self.mul.target.total != self.dim:
             raise ShapeMismatchError(f"mul must map A⊗A -> A, got {self.mul}")
-
-    @property
-    def shape(self) -> ObjectShape:
-        return ObjectShape((self.dim,))
 
     @property
     def id_map(self) -> LinMap:
@@ -54,10 +48,6 @@ class CoalgebraData:
             raise ShapeMismatchError(f"counit must map C -> K, got {self.counit}")
         if self.comul.source.total != self.dim or self.comul.target.total != self.dim ** 2:
             raise ShapeMismatchError(f"comul must map C -> C⊗C, got {self.comul}")
-
-    @property
-    def shape(self) -> ObjectShape:
-        return ObjectShape((self.dim,))
 
     @property
     def id_map(self) -> LinMap:
@@ -189,12 +179,6 @@ def product_of_coproducts(mul: LinMap, comul: LinMap, dim: int) -> LinMap:
     return permute(r, dd, dd, (0, 2, 1, 3), 2)
 
 
-def _after_middle_swap(f: LinMap, source: tuple[int, int, int, int]) -> LinMap:
-    """f after the swap of the middle two of the source factors ``source``."""
-    t = len(f.target.factors)
-    return permute(f, f.target.factors, source, (*range(t), t, t + 2, t + 1, t + 3), t)
-
-
 def after_tensor_comul(f: LinMap, c, d) -> LinMap:
     """f after the coproduct of the tensor coalgebra C (x) D.
 
@@ -203,7 +187,10 @@ def after_tensor_comul(f: LinMap, c, d) -> LinMap:
     factors; the swap is applied to the source indices of f, whose source
     is (C (x) D) (x) (C (x) D), instead of being built as a map.
     """
-    return _after_middle_swap(f, (c.dim, d.dim, c.dim, d.dim)) @ tensor(c.comul, d.comul)
+    t = len(f.target.factors)
+    swapped = permute(f, f.target.factors, (c.dim, d.dim, c.dim, d.dim),
+                      (*range(t), t, t + 2, t + 1, t + 3), t)
+    return swapped @ tensor(c.comul, d.comul)
 
 
 def check_bialgebra(b: BialgebraData) -> Report:
@@ -233,115 +220,3 @@ def check_hopf(h: HopfData) -> Report:
     report.add(equality_record("hopf.antipode_right",
                                h.mul @ tensor(idh, h.antipode) @ h.comul, eta_eps))
     return report
-
-
-# ---------------------------------------------------------------------------
-# catalog of standard examples
-
-def group_algebra(n: int, field: FieldSpec = QQ) -> HopfData:
-    """The cyclic group algebra on n grouplike basis elements g^0..g^{n-1}."""
-    if n < 1:
-        raise ValueError("group order must be positive")
-    sh, sq = ObjectShape((n,)), ObjectShape((n, n))
-    one = field.one()
-    unit = LinMap.from_dict(field, UNIT_SHAPE, sh, {(0, 0): one})
-    mul = LinMap.from_dict(field, sq, sh,
-                           {((i + j) % n, i * n + j): one for i in range(n) for j in range(n)})
-    counit = LinMap.from_dict(field, sh, UNIT_SHAPE, {(0, i): one for i in range(n)})
-    comul = LinMap.from_dict(field, sh, sq, {(i * n + i, i): one for i in range(n)})
-    antipode = LinMap.from_dict(field, sh, sh, {((-i) % n, i): one for i in range(n)})
-    return HopfData(BialgebraData(AlgebraData(field, n, unit, mul),
-                                  CoalgebraData(field, n, counit, comul)), antipode)
-
-
-def dual_group_algebra(n: int, field: FieldSpec = QQ) -> HopfData:
-    """Functions on the cyclic group of order n, with convolution coproduct."""
-    if n < 1:
-        raise ValueError("group order must be positive")
-    sh, sq = ObjectShape((n,)), ObjectShape((n, n))
-    one = field.one()
-    unit = LinMap.from_dict(field, UNIT_SHAPE, sh, {(i, 0): one for i in range(n)})
-    mul = LinMap.from_dict(field, sq, sh, {(i, i * n + i): one for i in range(n)})
-    counit = LinMap.from_dict(field, sh, UNIT_SHAPE, {(0, 0): one})
-    comul = LinMap.from_dict(field, sh, sq,
-                             {(j * n + (i - j) % n, i): one for i in range(n) for j in range(n)})
-    antipode = LinMap.from_dict(field, sh, sh, {((-i) % n, i): one for i in range(n)})
-    return HopfData(BialgebraData(AlgebraData(field, n, unit, mul),
-                                  CoalgebraData(field, n, counit, comul)), antipode)
-
-
-def sweedler_h4(field: FieldSpec = QQ) -> HopfData:
-    """The four-dimensional Hopf algebra on basis {1, g, x, gx}.
-
-    Relations g*g = 1, x*x = 0, x*g = -g*x; g is grouplike and x is
-    (1,g)-primitive.  Needs characteristic different from 2.
-    """
-    if field.characteristic == 2:
-        raise ValueError("the four-dimensional example needs characteristic != 2")
-    sh, sq = ObjectShape((4,)), ObjectShape((4, 4))
-    one = field.one()
-    minus = field.coerce(-1)
-    # basis order: 1, g, x, gx
-    table: dict[tuple[int, int], dict[int, object]] = {
-        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
-        (1, 0): {1: one}, (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
-        (2, 0): {2: one}, (2, 1): {3: minus}, (2, 2): {}, (2, 3): {},
-        (3, 0): {3: one}, (3, 1): {2: minus}, (3, 2): {}, (3, 3): {},
-    }
-    mul_values = {(k, i * 4 + j): v
-                  for (i, j), col in table.items() for k, v in col.items()}
-    mul = LinMap.from_dict(field, sq, sh, mul_values)
-    unit = LinMap.from_dict(field, UNIT_SHAPE, sh, {(0, 0): one})
-    counit = LinMap.from_dict(field, sh, UNIT_SHAPE, {(0, 0): one, (0, 1): one})
-    comul = LinMap.from_dict(field, sh, sq, {
-        (0 * 4 + 0, 0): one,                     # 1 -> 1 (x) 1
-        (1 * 4 + 1, 1): one,                     # g -> g (x) g
-        (2 * 4 + 0, 2): one, (1 * 4 + 2, 2): one,  # x -> x (x) 1 + g (x) x
-        (3 * 4 + 1, 3): one, (0 * 4 + 3, 3): one,  # gx -> gx (x) g + 1 (x) gx
-    })
-    antipode = LinMap.from_dict(field, sh, sh, {
-        (0, 0): one, (1, 1): one, (3, 2): minus, (2, 3): one,
-    })
-    return HopfData(BialgebraData(AlgebraData(field, 4, unit, mul),
-                                  CoalgebraData(field, 4, counit, comul)), antipode)
-
-
-def product_algebra(n: int, field: FieldSpec = QQ) -> AlgebraData:
-    """The split product of n field lines: e_i e_j = [i=j] e_i, unit sum e_i."""
-    if n < 1:
-        raise ValueError("number of factors must be positive")
-    sh, sq = ObjectShape((n,)), ObjectShape((n, n))
-    one = field.one()
-    unit = LinMap.from_dict(field, UNIT_SHAPE, sh, {(i, 0): one for i in range(n)})
-    mul = LinMap.from_dict(field, sq, sh, {(i, i * n + i): one for i in range(n)})
-    return AlgebraData(field, n, unit, mul)
-
-
-def matrix_algebra(n: int, field: FieldSpec = QQ) -> AlgebraData:
-    """n x n matrix units E_ij (flat index i*n+j): E_ij E_kl = [j=k] E_il."""
-    if n < 1:
-        raise ValueError("matrix size must be positive")
-    d = n * n
-    sh, sq = ObjectShape((d,)), ObjectShape((d, d))
-    one = field.one()
-    unit = LinMap.from_dict(field, UNIT_SHAPE, sh, {(i * n + i, 0): one for i in range(n)})
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        values[(i * n + l, (i * n + j) * d + (k * n + l))] = one
-    mul = LinMap.from_dict(field, sq, sh, values)
-    return AlgebraData(field, d, unit, mul)
-
-
-def tensor_algebra(a: AlgebraData, b: AlgebraData) -> AlgebraData:
-    """The product algebra structure on A (x) B with the (swapped) middle factors."""
-    mul = _after_middle_swap(tensor(a.mul, b.mul), (a.dim, a.dim, b.dim, b.dim))
-    dim = a.dim * b.dim
-    sh = ObjectShape((dim,))
-    # reflatten onto a single factor so the bundle's shape checks apply
-    mul = mul.reshaped(ObjectShape((dim, dim)), sh)
-    unit = tensor(a.unit, b.unit).reshaped(UNIT_SHAPE, sh)
-    return AlgebraData(a.field, dim, unit, mul)

@@ -18,8 +18,7 @@ from .fields import FieldSpec
 from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, identity, tensor
 from .reporting import (FAIL, PASS, CheckRecord, Report, equality_record, gated, memoised,
                         predicate_record)
-from .structures import (BialgebraData, after_tensor_comul, group_algebra,
-                         product_of_coproducts)
+from .structures import BialgebraData, after_tensor_comul, product_of_coproducts
 from .weak_crossed import (CrossedSystem, WeakCrossedProduct, check_cocycle, check_twisted,
                            product_report)
 
@@ -50,11 +49,6 @@ class PreHopfObject:
     @property
     def id_map(self) -> LinMap:
         return identity(self.field, self.dim)
-
-
-def pre_hopf_of(b: BialgebraData) -> PreHopfObject:
-    """Forget down to the pre-Hopf data of a bialgebra."""
-    return PreHopfObject(b.field, b.dim, b.unit, b.mul, b.counit, b.comul)
 
 
 def check_pre_hopf(h: PreHopfObject) -> Report:
@@ -370,35 +364,3 @@ def theorem_equivalence_suite_unified(d: ExtendingDatum) -> Report:
                    implication("unified.thm_cocycle_backward", "BE5", "cocycle"),
                    swap_lemma("unified.lemma_swap_psi", use_sigma=False),
                    swap_lemma("unified.lemma_swap_sigma", use_sigma=True)])
-
-
-# ---------------------------------------------------------------------------
-# canonical fixtures
-
-def trivial_datum(field: FieldSpec) -> ExtendingDatum:
-    """Both actions and the pairing trivial on a pair of order-2 group algebras."""
-    a = group_algebra(2, field).bialgebra
-    h = pre_hopf_of(group_algebra(2, field).bialgebra)
-    phi_a = tensor(h.counit, a.algebra.id_map)
-    phi_h = tensor(h.id_map, a.counit)
-    tau = a.unit @ tensor(h.counit, h.counit)
-    return ExtendingDatum(a, h, phi_h, phi_a, tau)
-
-
-def s3_smash_datum(field: FieldSpec) -> ExtendingDatum:
-    """Order-2 group algebra acting on the order-3 one by inversion.
-
-    The unified product is the group algebra of the six-element
-    nonabelian group.
-    """
-    a = group_algebra(3, field).bialgebra
-    h = pre_hopf_of(group_algebra(2, field).bialgebra)
-    one = field.one()
-    values = {}
-    for i in range(3):
-        values[(i, 0 * 3 + i)] = one            # identity acts trivially
-        values[((-i) % 3, 1 * 3 + i)] = one     # generator inverts
-    phi_a = LinMap.from_dict(field, ObjectShape((2, 3)), ObjectShape((3,)), values)
-    phi_h = tensor(h.id_map, a.counit)
-    tau = a.unit @ tensor(h.counit, h.counit)
-    return ExtendingDatum(a, h, phi_h, phi_a, tau)

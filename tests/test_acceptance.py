@@ -8,10 +8,11 @@ over the five-element prime field.
 from contextlib import contextmanager
 from dataclasses import replace
 
+from catalog import (global_action, group_algebra, lambda_zero_action,
+                     partial_smash_action, s3_smash_datum, set_column, sweedler_nabla,
+                     tensor_algebra, trivial_datum)
 from wcpx.fields import QQ, prime_field
-from wcpx.linmaps import (LinMap, braiding, equals, identity, rank,
-                          set_column, shape, split_idempotent, tensor)
-from wcpx.structures import group_algebra, tensor_algebra
+from wcpx.linmaps import LinMap, braiding, equals, identity, rank, shape, split_idempotent, tensor
 from wcpx import partial_crossed as pc
 from wcpx import unified_product as up
 from wcpx import weak_crossed as wc
@@ -47,13 +48,13 @@ def trivial_object_system(field):
 
 
 def partial_actions(field):
-    return [("global", pc.global_action(field)),
-            ("vanishing", pc.lambda_zero_action(field)),
-            ("smash", pc.partial_smash_action(field))]
+    return [("global", global_action(field)),
+            ("vanishing", lambda_zero_action(field)),
+            ("smash", partial_smash_action(field))]
 
 
 def unified_data(field):
-    return [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]
+    return [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]
 
 
 def crossed_fixtures(field):
@@ -69,7 +70,7 @@ def crossed_fixtures(field):
 
 
 def mutated_partial_actions(field):
-    smash = pc.partial_smash_action(field)
+    smash = partial_smash_action(field)
     bad_cocycle = replace(smash, omega=set_column(smash.omega, 3, {1: 1}))
     killed = replace(smash, phi=set_column(set_column(smash.phi, 2, {}), 3, {}))
     return [("bad_cocycle", bad_cocycle), ("annihilating", killed)]
@@ -122,8 +123,8 @@ def check_partial_equivalences(field):
 
 
 def check_partial_desk_numbers(field):
-    smash = pc.partial_smash_action(field)
-    nabla = pc.sweedler_nabla(smash)            # elementwise oracle
+    smash = partial_smash_action(field)
+    nabla = sweedler_nabla(smash)               # elementwise oracle
     assert rank(nabla) == 3
     report, product = pc.partial_pipeline(smash)
     assert report.passed
@@ -133,7 +134,7 @@ def check_partial_desk_numbers(field):
     hit = {oracle.target.unflatten(r): str(v)
            for r, v in enumerate(oracle.column(col)) if v}
     assert hit == {(0, 0): "1"}                 # e1 (x) 1
-    assert rank(pc.sweedler_nabla(pc.lambda_zero_action(field))) == 1
+    assert rank(sweedler_nabla(lambda_zero_action(field))) == 1
 
 
 def check_unified_projector_identity(field):
@@ -145,7 +146,7 @@ def check_unified_projector_identity(field):
 
 
 def check_unified_equivalences(field):
-    s3 = up.s3_smash_datum(field)
+    s3 = s3_smash_datum(field)
     twisted_pairing = replace(s3, tau=set_column(s3.tau, 3, {1: 1}))
     fixtures = unified_data(field) + [("twisted_pairing", twisted_pairing)]
     for name, d in fixtures:
@@ -162,15 +163,15 @@ def check_oracle_equivalence(field):
     for name, act in partial_actions(field):
         system = act.system
         assert equals(system.mu_tensor, pc.sweedler_product(act)), name
-        assert equals(system.nabla, pc.sweedler_nabla(act)), name
+        assert equals(system.nabla, sweedler_nabla(act)), name
     for name, d in unified_data(field):
         system = d.system
         assert equals(system.mu_tensor, up.bullet_product(d)), name
-    trivial = up.trivial_datum(field)
+    trivial = trivial_datum(field)
     _, product = up.unified_pipeline(trivial)
     klein_four = tensor_algebra(trivial.bialgebra.algebra, group_algebra(2, field).algebra)
     assert equals(product.system.mu_tensor, klein_four.mul)
-    s3 = up.s3_smash_datum(field)
+    s3 = s3_smash_datum(field)
     _, product = up.unified_pipeline(s3)
     mu = product.system.mu_tensor
     assert product.dim == 6

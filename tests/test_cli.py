@@ -253,6 +253,16 @@ def test_mis_shaped_psi_exits_two_at_its_declaration(tmp_path):
     assert f"line {line}, col 1: psi must map V⊗A -> A⊗V" in result.output
 
 
+def test_zero_factor_in_a_shape_exits_two_with_one_line(tmp_path):
+    bad = tmp_path / "zero.wx"
+    bad.write_text("field Q\nmorphism f : 0 -> 2\n")
+    result = run("check-structure", bad)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {bad}: line 2, col 14: zero factor in shape '0'"]
+
+
 # exit code and report SHA-256 of every command on every fixture, as the
 # benchmark's outcome checker pins them
 FIXTURE_PINS = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))["fixtures"]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from catalog import partial_smash_action, s3_smash_datum
 from wcpx import partial_crossed as pc
 from wcpx import reporting
 from wcpx import unified_product as up
@@ -14,10 +15,8 @@ from wcpx import weak_crossed as wc
 from wcpx.cli import main
 from wcpx.fields import QQ
 from wcpx.parser import parse
-from wcpx.partial_crossed import (partial_pipeline, partial_smash_action,
-                                  theorem_equivalence_suite)
-from wcpx.unified_product import (s3_smash_datum, theorem_equivalence_suite_unified,
-                                  unified_pipeline)
+from wcpx.partial_crossed import partial_pipeline, theorem_equivalence_suite
+from wcpx.unified_product import theorem_equivalence_suite_unified, unified_pipeline
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 STRUCTURES = ("algebra", "coalgebra", "bialgebra", "hopf", "prehopf")

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import add, group_algebra, scale, sub
 from wcpx import linmaps, structures
 from wcpx.fields import QQ, prime_field
 from wcpx.linmaps import (LinMap, NotIdempotentError, ObjectShape,
                           ShapeMismatchError, braiding, compose, equals,
                           first_difference, identity, permute,
                           rank, shape, split_idempotent, tensor)
-from wcpx.structures import (check_algebra, check_coalgebra, check_hopf,
-                             group_algebra, product_of_coproducts)
+from wcpx.structures import check_algebra, check_coalgebra, check_hopf, product_of_coproducts
 
 F5 = prime_field(5)
 FIELDS = [QQ, F5]
@@ -210,12 +210,12 @@ def test_split_rejects_non_idempotent():
 def _unit_triangular_inverse(field, t):
     # inverse of a unit triangular map via the terminating nilpotent series
     n = t.source.total
-    nil = t - identity(field, n)
+    nil = sub(t, identity(field, n))
     total = identity(field, n)
     term = identity(field, n)
     for _ in range(n - 1):
-        term = (term @ nil).scale(-1)
-        total = total + term
+        term = scale(term @ nil, -1)
+        total = add(total, term)
     return total
 
 
@@ -421,12 +421,18 @@ def test_equals_and_first_difference_match_dense_reference(field, data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_difference_with_own_negative_is_canonical_zero(field, data):
+    # f - f as the composite [f, -f] after [id; id]: every entry the kernel
+    # accumulates cancels to zero and must be dropped from its row
     m, n = data.draw(dims), data.draw(dims)
-    f = LinMap(field, shape(n), shape(m), data.draw(dense_st(field, m, n)))
-    z = f + f.scale(-1)
+    dense = data.draw(dense_st(field, m, n))
+    f = LinMap(field, shape(n), shape(m), dense)
+    both = LinMap(field, shape(2, n), shape(m), [row + [-x for x in row] for row in dense])
+    doubled = LinMap.from_dict(field, shape(n), shape(2, n),
+                               {(k * n + i, i): 1 for k in range(2) for i in range(n)})
+    z = compose(both, doubled)
     assert z.is_zero()
     assert z.rows == tuple({} for _ in range(m))
-    assert equals(f - f, z)
+    assert equals(sub(f, f), z)
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
@@ -575,7 +581,9 @@ def test_kronecker_product_kept_as_factors_behaves_like_its_matrix(field, data):
 def test_hopf_check_never_builds_rows_of_coproduct_or_product_kronecker(monkeypatch):
     # counts materialisations instead of timing them: the rows of a Kronecker
     # product with comul as a factor and of mul next to an identity are never
-    # built, so the bialgebra axiom costs about 2 d^6 operations, not d^8
+    # built; the bialgebra axiom is contracted without any Kronecker product
+    # (2 d^5 + d^6 operations, not d^8), and every other axiom composes its
+    # Kronecker operands factor by factor
     built = []
     kron_rows = linmaps._kron_rows
 
@@ -625,10 +633,10 @@ def test_product_of_coproducts_builds_no_kronecker_product(monkeypatch):
     assert [kind for kind, _ in calls] == ["tensor"]
 
 
-def test_hopf_check_of_c16_builds_no_kronecker_rows_beyond_d_cubed(monkeypatch):
-    # the bialgebra axiom is evaluated through the Galois map, whose widest
-    # Kronecker rows are those of G (x) id: d^3 rows, one entry each for a
-    # group algebra; reading tensor(mul, mul) would build d^4 entries
+def test_hopf_check_of_c16_builds_no_kronecker_rows_beyond_d_squared(monkeypatch):
+    # the only Kronecker rows built are those of the two sides compared as
+    # whole maps, tensor(counit, counit) (1 x d^2) and tensor(unit, unit)
+    # (d^2 x 1); reading tensor(mul, mul) would build d^4 entries
     built = []
     kron_rows = linmaps._kron_rows
 
@@ -641,4 +649,4 @@ def test_hopf_check_of_c16_builds_no_kronecker_rows_beyond_d_cubed(monkeypatch):
     assert check_hopf(group_algebra(16)).passed
     assert built, "materialisations are counted"
     for n_rows, n_entries in built:
-        assert n_rows <= 16 ** 3 and n_entries <= 16 ** 3, built
+        assert n_rows <= 16 ** 2 and n_entries <= 16 ** 2, built

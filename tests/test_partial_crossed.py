@@ -4,30 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import (global_action, group_algebra, lambda_zero_action, partial_smash_action,
+                     product_algebra, set_column, sweedler_nabla, tensor_algebra)
 from wcpx.fields import QQ
-from wcpx.linmaps import (LinMap, braiding, equals, identity, rank,
-                          set_column, shape)
-from wcpx.structures import group_algebra, product_algebra, tensor_algebra
+from wcpx.linmaps import LinMap, braiding, equals, identity, rank, shape
 from wcpx import partial_crossed as pc
 from wcpx import weak_crossed as wc
 
 
 def all_actions(field):
-    return [("global", pc.global_action(field)),
-            ("vanishing", pc.lambda_zero_action(field)),
-            ("smash", pc.partial_smash_action(field))]
+    return [("global", global_action(field)),
+            ("vanishing", lambda_zero_action(field)),
+            ("smash", partial_smash_action(field))]
 
 
 # -- induced maps ----------------------------------------------------------------
 
 def test_trivial_action_induces_swap(field):
-    act = pc.global_action(field)
+    act = global_action(field)
     assert equals(pc.induced_psi(act), braiding(field, 2, 2))
     assert pc.lemma_report(act).passed
 
 
 def test_vanishing_action_induced_cocycle_map(field):
-    act = pc.lambda_zero_action(field)
+    act = lambda_zero_action(field)
     sigma = pc.induced_sigma(act)
     # sigma(1 (x) 1) = 1 (x) 1 and sigma(g (x) g) = 0
     assert [str(x) for x in sigma.column(0)] == ["1", "0"]
@@ -35,7 +35,7 @@ def test_vanishing_action_induced_cocycle_map(field):
 
 
 def test_smash_action_induced_maps(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     psi, sigma = pc.induced_psi(act), pc.induced_sigma(act)
     assert not any(psi.column(psi.source.flatten((1, 1))))        # psi(g (x) e2) = 0
     col = sigma.column(sigma.source.flatten((1, 1)))              # sigma(g (x) g)
@@ -51,9 +51,9 @@ small = st.integers(min_value=-2, max_value=2)
 
 
 def test_replaced_action_builds_its_system_from_the_new_map(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     system = act.system
-    moved = replace(act, phi=pc.global_action(field).phi)
+    moved = replace(act, phi=global_action(field).phi)
     assert act.system is system
     assert equals(moved.system.psi, pc.induced_psi(moved))
     assert not equals(moved.system.psi, system.psi)
@@ -72,7 +72,7 @@ def test_lemma_identities_hold_for_arbitrary_maps(phi_rows, omega_rows):
 
 
 def test_pipeline_reports_corrupted_hopf_data(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     comul = set_column(act.hopf.comul, 1, {1 * 2 + 1: 1, 0 * 2 + 1: 1})  # g -> g(x)g + 1(x)g
     broken_coalg = replace(act.hopf.coalgebra, comul=comul)
     from wcpx.structures import BialgebraData, HopfData
@@ -115,7 +115,7 @@ def test_half_scalar_witness_values_over_q():
 
 
 def test_units_and_cocycle_on_smash(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     report = pc.check_units_and_cocycle(act)
     assert report.passed
     # omega(g (x) 1) = omega(1 (x) g) = g.1 = e1
@@ -124,7 +124,7 @@ def test_units_and_cocycle_on_smash(field):
 
 
 def test_corrupted_cocycle_fails_condition_with_witness(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     bad = replace(act, omega=set_column(act.omega, 3, {1: 1}))  # omega(g,g) := e2
     report = pc.check_units_and_cocycle(bad)
     record = report["partial.cocycle"]
@@ -136,7 +136,7 @@ def test_corrupted_cocycle_fails_condition_with_witness(field):
 # -- building the crossed product ----------------------------------------------------
 
 def test_vanishing_action_product_is_one_dimensional(field):
-    report, product = pc.partial_pipeline(pc.lambda_zero_action(field))
+    report, product = pc.partial_pipeline(lambda_zero_action(field))
     assert report.passed
     assert report.facts == {"nabla_rank": 1, "product_dim": 1}
     assert equals(product.unit_times,
@@ -144,14 +144,14 @@ def test_vanishing_action_product_is_one_dimensional(field):
 
 
 def test_smash_projector_is_the_expected_diagonal(field):
-    nabla = wc.build_nabla(pc.partial_smash_action(field).system)
+    nabla = wc.build_nabla(partial_smash_action(field).system)
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
     assert nabla.entries == LinMap(
         field, shape(2, 2), shape(2, 2), expected).entries
 
 
 def test_smash_product_desk_numbers(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     report, product = pc.partial_pipeline(act)
     assert report.passed
     assert report.facts == {"nabla_rank": 3, "product_dim": 3}
@@ -165,7 +165,7 @@ def test_smash_product_desk_numbers(field):
 
 
 def test_global_action_gives_tensor_product_algebra(field):
-    act = pc.global_action(field)
+    act = global_action(field)
     report, product = pc.partial_pipeline(act)
     assert report.passed
     assert equals(product.system.nabla, identity(field, 4))
@@ -174,7 +174,7 @@ def test_global_action_gives_tensor_product_algebra(field):
 
 
 def test_build_raises_on_failing_action(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     bad = replace(act, omega=set_column(act.omega, 3, {1: 1}))
     report, product = pc.partial_pipeline(bad)
     assert product is None and report.failures()[0].check == "partial.twist_composite"
@@ -188,13 +188,13 @@ def test_build_raises_on_failing_action(field):
 def test_projector_matches_elementwise_form(field):
     for name, act in all_actions(field):
         system = act.system
-        assert equals(system.nabla, pc.sweedler_nabla(act)), name
+        assert equals(system.nabla, sweedler_nabla(act)), name
         assert equals(system.nabla, pc.nabla_unit_form(act)), name
 
 
 def test_vanishing_action_projector_matrix(field):
-    act = pc.lambda_zero_action(field)
-    nabla = pc.sweedler_nabla(act)
+    act = lambda_zero_action(field)
+    nabla = sweedler_nabla(act)
     assert [[str(x) for x in row] for row in nabla.entries] == [["1", "0"], ["0", "0"]]
     assert rank(nabla) == 1
 
@@ -220,7 +220,7 @@ def test_equivalences_on_valid_actions(field):
 
 
 def test_equivalences_on_corrupted_cocycle(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     bad = replace(act, omega=set_column(act.omega, 3, {1: 1}))
     suite = pc.theorem_equivalence_suite(bad)
     assert suite.passed
@@ -229,7 +229,7 @@ def test_equivalences_on_corrupted_cocycle(field):
 
 
 def test_equivalences_on_annihilating_action(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     killed = set_column(set_column(act.phi, 2, {}), 3, {})  # g annihilates A
     bad = replace(act, phi=killed)
     assert pc.check_partial_action(bad)["partial.mult"].passed

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalog import (dual_group_algebra, group_algebra, matrix_algebra, product_algebra,
+                     set_column, sweedler_h4)
 from wcpx.fields import QQ, prime_field
-from wcpx.linmaps import (LinMap, braiding, equals, identity, set_column, shape,
-                          tensor)
-from wcpx.structures import (BialgebraData, after_tensor_comul,
-                             check_algebra, check_bialgebra,
-                             check_coalgebra, check_hopf, dual_group_algebra,
-                             group_algebra, matrix_algebra, product_algebra,
-                             product_of_coproducts, sweedler_h4)
+from wcpx.linmaps import LinMap, braiding, equals, identity, shape, tensor
+from wcpx.structures import (BialgebraData, after_tensor_comul, check_algebra,
+                             check_bialgebra, check_coalgebra, check_hopf,
+                             product_of_coproducts)
 
 F3 = prime_field(3)
 F5 = prime_field(5)

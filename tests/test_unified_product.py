@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from wcpx.linmaps import (LinMap, braiding, equals, rank,
-                          set_column, shape, tensor)
-from wcpx.structures import group_algebra, tensor_algebra
+from catalog import (group_algebra, s3_smash_datum, scale, set_column, tensor_algebra,
+                     trivial_datum)
+from wcpx.linmaps import LinMap, braiding, equals, rank, shape, tensor
 from wcpx import unified_product as up
 from wcpx import weak_crossed as wc
 
@@ -43,17 +43,17 @@ def center_dim(mu, n, field):
 # -- datum checks --------------------------------------------------------------
 
 def test_trivial_datum_valid(field):
-    assert up.check_extending_datum(up.trivial_datum(field)).passed
+    assert up.check_extending_datum(trivial_datum(field)).passed
 
 
 def test_smash_datum_valid(field):
-    assert up.check_extending_datum(up.s3_smash_datum(field)).passed
+    assert up.check_extending_datum(s3_smash_datum(field)).passed
 
 
 def test_grouplike_pairing_mutation_still_valid(field):
     # sending the generator pair to the grouplike of A keeps the datum
     # conditions intact; what changes is decided by the BE checks
-    d = up.trivial_datum(field)
+    d = trivial_datum(field)
     twisted = replace(d, tau=set_column(d.tau, 3, {1: 1}))
     assert up.check_extending_datum(twisted).passed
     assert up.check_be(twisted).passed  # a 2-cocycle twist of the group pairing
@@ -69,22 +69,22 @@ def test_pre_hopf_checks_only_need_unit_laws(field):
 # -- BE conditions ----------------------------------------------------------------
 
 def test_trivial_datum_be_all_pass(field):
-    assert up.check_be(up.trivial_datum(field)).passed
+    assert up.check_be(trivial_datum(field)).passed
 
 
 def test_smash_datum_be_all_pass(field):
-    assert up.check_be(up.s3_smash_datum(field)).passed
+    assert up.check_be(s3_smash_datum(field)).passed
 
 
 def test_untwisted_action_variant_still_passes(field):
     # replacing the inverting action by the trivial one gives the tensor datum
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     trivial_action = tensor(d.hobj.counit, d.bialgebra.algebra.id_map)
     assert up.check_be(replace(d, phi_a=trivial_action)).passed
 
 
 def test_broken_action_fails_be2_with_witness(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     # generator sends the rotation to the sum of both rotations
     bad = replace(d, phi_a=set_column(d.phi_a, 4, {1: 1, 2: 1}))
     record = up.check_be(bad)["unified.be2"]
@@ -95,14 +95,14 @@ def test_broken_action_fails_be2_with_witness(field):
 # -- induced maps ---------------------------------------------------------------------
 
 def test_trivial_datum_induces_swap_and_group_cocycle(field):
-    d = up.trivial_datum(field)
+    d = trivial_datum(field)
     assert equals(up.induced_psi(d), braiding(field, 2, 2))
     assert equals(up.induced_sigma(d),
                   tensor(d.bialgebra.unit, d.hobj.mul))
 
 
 def test_smash_datum_induced_values(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     psi = up.induced_psi(d)
     col = psi.column(psi.source.flatten((1, 1)))               # psi(t (x) c)
     hit = {psi.target.unflatten(r) for r, v in enumerate(col) if v}
@@ -114,9 +114,9 @@ def test_smash_datum_induced_values(field):
 
 
 def test_replaced_datum_builds_its_system_from_the_new_map(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     system = d.system
-    doubled = replace(d, tau=d.tau.scale(2))
+    doubled = replace(d, tau=scale(d.tau, 2))
     assert d.system is system
     assert equals(doubled.system.sigma, up.induced_sigma(doubled))
     assert not equals(doubled.system.sigma, system.sigma)
@@ -143,7 +143,7 @@ def test_lemma_identities_gated_on_multiplicativity(field):
 
 
 def test_corrupted_coproduct_breaks_recovery_identities(field):
-    d = up.trivial_datum(field)
+    d = trivial_datum(field)
     broken_comul = set_column(d.hobj.comul, 1, {1 * 2 + 1: 1, 0 * 2 + 1: 1})
     broken = replace(d, hobj=replace(d.hobj, comul=broken_comul))
     report, product = up.unified_pipeline(broken)
@@ -154,7 +154,7 @@ def test_corrupted_coproduct_breaks_recovery_identities(field):
 # -- the identity projector ------------------------------------------------------------
 
 def test_partial_multiplicativity_and_module_law_give_compatibility(field):
-    for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
+    for name, d in [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]:
         be = up.check_be(d)
         mult = up.multiplicativity_report(d)
         assert be["unified.be2"].passed and mult["unified.module_assoc"].passed, name
@@ -163,13 +163,13 @@ def test_partial_multiplicativity_and_module_law_give_compatibility(field):
 
 
 def test_projector_is_identity_on_valid_data(field):
-    for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
+    for name, d in [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]:
         report = up.check_nabla_identity(d)
         assert report.passed, name
 
 
 def test_projector_detects_unnormalized_action(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     # make the generator send the base unit to the rotation
     bad = replace(d, phi_a=set_column(d.phi_a, 3, {1: 1}))
     record = up.check_nabla_identity(bad).records[0]
@@ -179,7 +179,7 @@ def test_projector_detects_unnormalized_action(field):
 # -- the unified product ------------------------------------------------------------------
 
 def test_trivial_datum_product_is_group_algebra_of_klein_four(field):
-    d = up.trivial_datum(field)
+    d = trivial_datum(field)
     report, product = up.unified_pipeline(d)
     assert report.passed
     expected = tensor_algebra(d.bialgebra.algebra,
@@ -189,7 +189,7 @@ def test_trivial_datum_product_is_group_algebra_of_klein_four(field):
 
 
 def test_smash_datum_product_desk_numbers(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     report, product = up.unified_pipeline(d)
     assert report.passed
     assert report.facts == {"nabla_is_identity": True, "product_dim": 6}
@@ -203,13 +203,13 @@ def test_smash_datum_product_desk_numbers(field):
 
 
 def test_bullet_oracle_matches_categorical_product(field):
-    for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
+    for name, d in [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]:
         system = d.system
         assert equals(system.mu_tensor, up.bullet_product(d)), name
 
 
 def test_build_raises_on_invalid_datum(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     bad = replace(d, phi_a=set_column(d.phi_a, 4, {1: 1, 2: 1}))
     report, product = up.unified_pipeline(bad)
     assert product is None and report.failures()[0].check == "unified.phi_a_comul"
@@ -221,14 +221,14 @@ def test_build_raises_on_invalid_datum(field):
 # -- equivalence theorems -------------------------------------------------------------------
 
 def test_equivalences_on_valid_data(field):
-    for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
+    for name, d in [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]:
         suite = up.theorem_equivalence_suite_unified(d)
         assert suite.passed, name
         assert all(r.status == "pass" for r in suite.records), name
 
 
 def test_equivalences_on_twisted_pairing_mutation(field):
-    d = up.s3_smash_datum(field)
+    d = s3_smash_datum(field)
     bad = replace(d, tau=set_column(d.tau, 3, {1: 1}))        # tau(t,t) := c
     be = up.check_be(bad)
     # hypotheses of the backward cocycle direction survive the mutation
@@ -254,7 +254,7 @@ def test_equivalences_skip_without_hypotheses(field):
 
 
 def test_swap_lemmas_on_valid_data(field):
-    for name, d in [("trivial", up.trivial_datum(field)), ("s3", up.s3_smash_datum(field))]:
+    for name, d in [("trivial", trivial_datum(field)), ("s3", s3_smash_datum(field))]:
         suite = up.theorem_equivalence_suite_unified(d)
         assert [suite[check].status for check in ("unified.lemma_swap_psi",
                                                   "unified.lemma_swap_sigma")] == ["pass"] * 2, name

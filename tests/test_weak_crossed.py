@@ -2,11 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from wcpx.linmaps import (LinMap, braiding, equals, identity, set_column,
-                          shape, tensor)
-from wcpx.structures import group_algebra, tensor_algebra
-from wcpx import weak_crossed as wc
+from catalog import (add, group_algebra, partial_smash_action, scale, set_column, sub,
+                     tensor_algebra)
+from wcpx.linmaps import LinMap, braiding, equals, identity, shape, tensor
 from wcpx import partial_crossed as pc
+from wcpx import weak_crossed as wc
 
 
 def tensor_system(field):
@@ -34,7 +34,7 @@ def test_swap_twisting_is_compatible(field):
 
 
 def test_induced_partial_twisting_is_compatible(field):
-    act = pc.partial_smash_action(field)
+    act = partial_smash_action(field)
     report = wc.compat_report(act.algebra, pc.induced_psi(act), act.hopf.dim)
     assert report.passed
 
@@ -61,7 +61,7 @@ def test_swap_projector_is_identity(field):
 
 
 def test_projector_idempotent_and_left_linear(field):
-    system = pc.partial_smash_action(field).system
+    system = partial_smash_action(field).system
     nabla = wc.build_nabla(system)
     assert equals(nabla @ nabla, nabla)
     a = system.algebra
@@ -79,13 +79,13 @@ def test_trivial_object_conditions(field):
 
 
 def test_partial_system_satisfies_conditions(field):
-    system = pc.partial_smash_action(field).system
+    system = partial_smash_action(field).system
     assert wc.check_twisted(system).passed
     assert wc.check_cocycle(system).passed
 
 
 def test_corrupted_sigma_breaks_conditions(field):
-    system = pc.partial_smash_action(field).system
+    system = partial_smash_action(field).system
     # overwrite sigma at (g, g) with e2 (x) 1
     bad = replace(system, sigma=set_column(system.sigma, 3, {1 * 2 + 0: 1}))
     twisted = wc.check_twisted(bad).records[0]
@@ -97,16 +97,16 @@ def test_corrupted_sigma_breaks_conditions(field):
 # -- normalization ------------------------------------------------------------------
 
 def test_normalize_sigma_is_identity_on_normalized_systems(field):
-    system = pc.partial_smash_action(field).system
+    system = partial_smash_action(field).system
     assert wc.normalize_sigma(system) is system
 
 
 def test_normalize_sigma_projects_perturbations(field):
-    system = pc.partial_smash_action(field).system
-    complement = identity(field, 4) - system.nabla
+    system = partial_smash_action(field).system
+    complement = sub(identity(field, 4), system.nabla)
     noise = complement @ LinMap.from_dict(field, shape(2, 2), shape(2, 2),
                                           {(3, 0): 1, (3, 3): 2})
-    perturbed = replace(system, sigma=system.sigma + noise)
+    perturbed = replace(system, sigma=add(system.sigma, noise))
     assert not wc.check_normalized(perturbed).passed
     fixed = wc.normalize_sigma(perturbed)
     assert equals(fixed.sigma, system.sigma)
@@ -135,7 +135,7 @@ def test_trivial_object_recovers_base_algebra(field):
 
 
 def test_build_products_names_failing_gate(field):
-    system = pc.partial_smash_action(field).system
+    system = partial_smash_action(field).system
     bad = replace(system, sigma=set_column(system.sigma, 3, {1 * 2 + 0: 1}))
     with pytest.raises(wc.PreconditionError) as err:
         wc.build_products(bad)
@@ -156,7 +156,7 @@ def test_tensor_system_preunit(field):
 
 def test_scaled_preunit_fails_square_law(field):
     system, a, v = tensor_system(field)
-    nu = tensor(a.unit, v.unit).scale(2)
+    nu = scale(tensor(a.unit, v.unit), 2)
     report = wc.check_preunit(system, nu)
     assert report["wcp.preunit_square"].failed
     assert report["wcp.preunit_square"].witness is not None
@@ -176,7 +176,7 @@ def test_build_algebra_rejects_bad_preunit(field):
     system, a, v = tensor_system(field)
     product = wc.build_products(system)
     with pytest.raises(wc.PreconditionError):
-        wc.build_algebra(product, tensor(a.unit, v.unit).scale(2))
+        wc.build_algebra(product, scale(tensor(a.unit, v.unit), 2))
 
 
 def test_trivial_object_algebra_isomorphic_to_base(field):
@@ -223,5 +223,5 @@ def test_product_checks_are_evaluated_once_per_built_product(field, monkeypatch)
     assert not calls and reused.records == fresh.records and reused.passed
     # a product holding another map is evaluated again
     monkeypatch.undo()
-    changed = replace(product, system=replace(system, psi=system.psi.scale(2)))
+    changed = replace(product, system=replace(system, psi=scale(system.psi, 2)))
     assert wc.product_checks(changed)["wcp.nabla_idempotent"].failed
