@@ -180,7 +180,7 @@ def parse_field(text: str) -> FieldSpec:
     text = text.strip()
     if text in ("Q", "QQ"):
         return QQ
-    if text.startswith("F") and text[1:].isdigit():
+    if text.startswith("F") and text[1:].isdecimal():
         if len(text) - 1 > len(str(MAX_CHARACTERISTIC)):
             raise FieldError(f"characteristic in {text[:20]}... is too large: primality "
                              f"is only decided below {MAX_CHARACTERISTIC}")

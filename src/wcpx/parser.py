@@ -8,20 +8,25 @@ sparse structure constants with 1-based basis indices:
     unit: 1 1
     mul 1 1 : 1=1
     mul 2 2 : 2=1
-    morphism act : H(x)A -> A          # (x) is the tensor sign
+    morphism act : H⊗A -> A          # ⊗ is the tensor sign; * is its ASCII form
     e 1 : 1=1
     partial_action P : hopf=H algebra=A phi=act omega=om
 
 Block kinds: algebra, coalgebra, bialgebra, hopf, prehopf, morphism,
 crossed_system, partial_action, extending_datum.  Every name must be
 declared before it is referenced; omitted structure constants are zero.
-A partial_action block parses to its ``TwistedPartialAction``, an
-extending_datum block to its ``ExtendingDatum`` and a crossed_system block
-to its ``CrossedSystem`` with the optional preunit.
+In an entry line (``e``, ``mul``, ``comul``, ``antipode``) the indices
+before ``:`` name a source basis element, and each ``key=scalar`` after it
+a target basis element and its coefficient.  A partial_action block parses
+to its ``TwistedPartialAction``, an extending_datum block to its
+``ExtendingDatum`` and a crossed_system block to its ``CrossedSystem`` with
+the optional preunit.
 """
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldError, FieldSpec, QQ, parse_field
@@ -73,7 +78,14 @@ class StructureFile:
         return {name for _, name in self.order}
 
 
-_STRUCT_KINDS = ("algebra", "coalgebra", "bialgebra", "hopf", "prehopf")
+# structure kind -> its StructureFile table and the line keys its body may use
+_STRUCTS = {
+    "algebra": ("algebras", {"unit", "mul"}),
+    "coalgebra": ("coalgebras", {"counit", "comul"}),
+    "bialgebra": ("bialgebras", {"unit", "mul", "counit", "comul"}),
+    "prehopf": ("prehopf_objects", {"unit", "mul", "counit", "comul"}),
+    "hopf": ("hopf_algebras", {"unit", "mul", "counit", "comul", "antipode"}),
+}
 # declaration kind -> (its StructureFile table, the type built, its required keys
 # in the order they are resolved and passed); crossed_system also takes preunit=
 _DECLS = {
@@ -87,351 +99,290 @@ _DECLS = {
 _NAMED = {"algebra": ("algebras", "algebra"), "hopf": ("hopf_algebras", "hopf algebra"),
           "bialgebra": ("bialgebras", "bialgebra"),
           "prehopf": ("prehopf_objects", "prehopf object")}
-_BODY_KEYS = {"unit", "counit", "mul", "comul", "antipode", "e"}
+# entry line key -> (the word positions of its indices before ':', the number
+# of indices in an entry's key, usage, entry form); two key indices are written (j,k)
+_ENTRIES = {
+    "e": ((1,), 1, "e <col> : <row>=<scalar> ...", "<row>=<scalar>"),
+    "mul": ((1, 2), 1, "mul <i> <j> : <k>=<scalar> ...", "<k>=<scalar>"),
+    "comul": ((1,), 2, "comul <i> : (<j>,<k>)=<scalar> ...", "(<j>,<k>)=<scalar>"),
+    "antipode": ((1,), 1, "antipode <i> : <j>=<scalar> ...", "<j>=<scalar>"),
+}
+_BODY_KEYS = {"unit", "counit", *_ENTRIES}
+HEAD, TAIL = 0, 1  # the parts of a line: before its first ':' and after it
 
 
 class _Block:
-    def __init__(self, kind: str, name: str, dim: int) -> None:
+    """The block being read, with the {(row, col): scalar} entries of each line key.
+
+    The indices before ':' of an entry line range over ``src_dim`` and those in
+    an entry's key over ``tgt_dim``: the dimension of a structure, or the
+    source and target totals of a morphism's ``shapes``.  ``what`` names the
+    two kinds of index in error messages.
+    """
+
+    def __init__(self, kind: str, name: str, src_dim: int, tgt_dim: int,
+                 shapes: tuple[ObjectShape, ObjectShape] | None = None) -> None:
         self.kind = kind
         self.name = name
-        self.dim = dim
-        self.unit: dict[tuple[int, int], object] = {}
-        self.counit: dict[tuple[int, int], object] = {}
-        self.mul: dict[tuple[int, int], object] = {}
-        self.comul: dict[tuple[int, int], object] = {}
-        self.antipode: dict[tuple[int, int], object] = {}
+        self.src_dim = src_dim
+        self.tgt_dim = tgt_dim
+        self.shapes = shapes
+        self.what = ("column", "row") if kind == "morphism" else ("basis", "basis")
+        self.entries: defaultdict[str, dict[tuple[int, int], object]] = defaultdict(dict)
 
 
 class _Parser:
     def __init__(self, text: str, default_field: FieldSpec | None) -> None:
         self.lines = text.splitlines()
-        self.default_field = default_field or QQ
-        self.field: FieldSpec | None = None
+        self.out = StructureFile(field=default_field or QQ)
+        self.field_declared = False
         self.block: _Block | None = None
-        self.morphism: tuple[str, ObjectShape, ObjectShape, dict] | None = None
-        self.started = False  # any block seen yet
+        self.lineno = 0  # the line being parsed
 
     # -- helpers ------------------------------------------------------------
 
-    def error(self, lineno: int, col: int, message: str) -> ParseError:
-        return ParseError(lineno, col, message)
+    def at(self, message: str, part: int | None = None, index: int | None = None,
+           offset: int = 0) -> ParseError:
+        """A ParseError on the current line, ``offset`` characters into token
+        ``index`` of ``part`` (HEAD or TAIL), or into the part itself when
+        ``index`` is None; at column 1 without a part.  Only here are a
+        line's token columns worked out."""
+        col = 1
+        if part is not None:
+            line = self.lines[self.lineno - 1].split("#", 1)[0]
+            head, _, tail = line.partition(":")
+            col += offset + (len(head) + 1 if part == TAIL else 0)
+            if index is not None:
+                col += [m.start() for m in re.finditer(r"\S+", (head, tail)[part])][index]
+        return ParseError(self.lineno, col, message)
 
-    def col_of(self, lineno: int, token: str) -> int:
-        pos = self.lines[lineno - 1].find(token)
-        return pos + 1 if pos >= 0 else 1
-
-    def current_field(self) -> FieldSpec:
-        return self.field if self.field is not None else self.default_field
-
-    def scalar(self, text: str, lineno: int) -> object:
-        try:
-            return self.current_field().parse(text)
-        except FieldError as exc:
-            raise self.error(lineno, self.col_of(lineno, text), str(exc)) from exc
-
-    def index(self, text: str, dim: int, lineno: int, what: str) -> int:
+    def read_index(self, text: str, dim: int, part: int, index: int, offset: int = 0) -> int:
+        """The 0-based value of the 1-based index ``text`` of an entry line,
+        found ``offset`` characters into token ``index`` of ``part``."""
         try:
             value = int(text)
         except ValueError as exc:
-            raise self.error(lineno, self.col_of(lineno, text),
-                             f"{what} index {text!r} is not an integer") from exc
+            raise self.at(f"{self.block.what[part]} index {text!r} is not an integer",
+                          part, index, offset) from exc
         if not 1 <= value <= dim:
-            raise self.error(lineno, self.col_of(lineno, text),
-                             f"{what} index {value} out of range 1..{dim}")
+            raise self.at(f"{self.block.what[part]} index {value} out of range 1..{dim}",
+                          part, index, offset)
         return value - 1
 
     # -- block closing --------------------------------------------------------
 
-    def close_pending(self, out: StructureFile) -> None:
-        if self.block is not None:
-            self.finish_block(self.block, out)
-            self.block = None
-        if self.morphism is not None:
-            name, src, tgt, values = self.morphism
-            out.morphisms[name] = LinMap.from_dict(out.field, src, tgt, values)
-            out.order.append(("morphism", name))
-            self.morphism = None
-
-    def finish_block(self, b: _Block, out: StructureFile) -> None:
-        """Build the maps of the declared kind only: an algebra has no comul."""
-        f, d = out.field, b.dim
+    def close_pending(self) -> None:
+        """Build the pending block's maps, of its declared kind only: an algebra has no comul."""
+        b, out = self.block, self.out
+        if b is None:
+            return
+        self.block = None
+        f, d, entries = out.field, b.src_dim, b.entries
+        out.order.append((b.kind, b.name))
+        if b.kind == "morphism":
+            out.morphisms[b.name] = LinMap.from_dict(f, *b.shapes, entries["e"])
+            return
         sh, sq = ObjectShape((d,)), ObjectShape((d, d))
         algebra = coalgebra = None
         if b.kind != "coalgebra":
-            algebra = AlgebraData(f, d, LinMap.from_dict(f, UNIT_SHAPE, sh, b.unit),
-                                  LinMap.from_dict(f, sq, sh, b.mul))
+            algebra = AlgebraData(f, d, LinMap.from_dict(f, UNIT_SHAPE, sh, entries["unit"]),
+                                  LinMap.from_dict(f, sq, sh, entries["mul"]))
         if b.kind != "algebra":
-            coalgebra = CoalgebraData(f, d, LinMap.from_dict(f, sh, UNIT_SHAPE, b.counit),
-                                      LinMap.from_dict(f, sh, sq, b.comul))
-        if b.kind == "algebra":
-            out.algebras[b.name] = algebra
-        elif b.kind == "coalgebra":
-            out.coalgebras[b.name] = coalgebra
+            coalgebra = CoalgebraData(f, d, LinMap.from_dict(f, sh, UNIT_SHAPE, entries["counit"]),
+                                      LinMap.from_dict(f, sh, sq, entries["comul"]))
+        if b.kind in ("algebra", "coalgebra"):
+            declared = algebra if b.kind == "algebra" else coalgebra
         elif b.kind == "bialgebra":
-            out.bialgebras[b.name] = BialgebraData(algebra, coalgebra)
+            declared = BialgebraData(algebra, coalgebra)
         elif b.kind == "prehopf":
-            out.prehopf_objects[b.name] = PreHopfObject(f, d, algebra.unit, algebra.mul,
-                                                        coalgebra.counit, coalgebra.comul)
-        elif b.kind == "hopf":
-            antipode = LinMap.from_dict(f, sh, sh, b.antipode)
-            out.hopf_algebras[b.name] = HopfData(BialgebraData(algebra, coalgebra), antipode)
-        out.order.append((b.kind, b.name))
+            declared = PreHopfObject(f, d, algebra.unit, algebra.mul,
+                                     coalgebra.counit, coalgebra.comul)
+        else:
+            antipode = LinMap.from_dict(f, sh, sh, entries["antipode"])
+            declared = HopfData(BialgebraData(algebra, coalgebra), antipode)
+        getattr(out, _STRUCTS[b.kind][0])[b.name] = declared
 
     # -- declarations -----------------------------------------------------------
 
-    def declare_name(self, name: str, out: StructureFile, lineno: int) -> None:
-        if name in out.names() or (self.block and self.block.name == name) \
-                or (self.morphism and self.morphism[0] == name):
-            raise self.error(lineno, self.col_of(lineno, name), f"name {name!r} already declared")
-
-    def parse_shape(self, shape_text: str, col: int, out: StructureFile,
-                    lineno: int) -> ObjectShape:
-        """The shape written in ``shape_text``, which starts at column ``col``."""
-        col += len(shape_text) - len(shape_text.lstrip())
-        shape_text = shape_text.strip()
+    def parse_shape(self, text: str, start: int) -> ObjectShape:
+        """The shape written in ``text``, which starts ``start`` characters into the tail."""
+        start += len(text) - len(text.lstrip())
+        shape_text = text.strip()
         for sign in TENSOR_SIGNS[1:]:
             shape_text = shape_text.replace(sign, TENSOR_SIGNS[0])
         dims: list[int] = []
         for factor in shape_text.split(TENSOR_SIGNS[0]):
-            piece = factor.strip()
+            piece, factor_start = factor.strip(), start
+            start += len(factor) + 1
             if not piece:
-                raise self.error(lineno, 1, f"empty factor in shape {shape_text!r}")
-            if piece.isdigit() and not int(piece):
-                raise self.error(lineno, col + factor.index(piece),
-                                 f"zero factor in shape {shape_text!r}")
-            col += len(factor) + 1
+                raise self.at(f"empty factor in shape {shape_text!r}")
             if piece == "K":
                 continue
-            if piece.isdigit():
-                dims.append(int(piece))
-                continue
-            dim = out.dim_of(piece)
-            if dim is None:
-                raise self.error(lineno, self.col_of(lineno, piece),
-                                 f"unknown structure {piece!r} in shape")
+            dim = int(piece) if piece.isdecimal() else self.out.dim_of(piece)
+            if not dim:
+                message = (f"zero factor in shape {shape_text!r}" if dim == 0
+                           else f"unknown structure {piece!r} in shape")
+                raise self.at(message, TAIL, None, factor_start + factor.index(piece))
             dims.append(dim)
         return ObjectShape(tuple(dims))
 
-    def parse_pairs(self, tail: str, lineno: int, keys: tuple[str, ...]) -> dict[str, str]:
-        found: dict[str, str] = {}
-        for token in tail.split():
-            key, eq, value = token.partition("=")
-            if not eq or key not in keys:
-                raise self.error(lineno, self.col_of(lineno, token),
-                                 f"expected one of {', '.join(k + '=' for k in keys)}; got {token!r}")
-            if key in found:
-                raise self.error(lineno, self.col_of(lineno, token), f"duplicate key {key!r}")
-            found[key] = value
-        return found
-
-    def lookup(self, key: str, text: str, out: StructureFile, lineno: int):
-        """The object that ``key=text`` of a declaration names: the dimension
-        for ``v``, a structure for a key in ``_NAMED``, else a morphism."""
+    def lookup(self, key: str, text: str, index: int):
+        """The object that ``key=text``, tail token ``index``, names: the
+        dimension for ``v``, a structure for a key in ``_NAMED``, else a morphism."""
+        offset = len(key) + 1  # the value starts after 'key='
         if key == "v":
-            vdim = int(text) if text.isdigit() else out.dim_of(text) or 0
+            vdim = int(text) if text.isdecimal() else self.out.dim_of(text) or 0
             if vdim < 1:
-                raise self.error(lineno, self.col_of(lineno, text),
-                                 f"cannot resolve object dimension {text!r}")
+                raise self.at(f"cannot resolve object dimension {text!r}", TAIL, index, offset)
             return vdim
         table, what = _NAMED.get(key, ("morphisms", "morphism"))
-        declared = getattr(out, table)
+        declared = getattr(self.out, table)
         if text not in declared:
-            raise self.error(lineno, self.col_of(lineno, text), f"unknown {what} {text!r}")
+            raise self.at(f"unknown {what} {text!r}", TAIL, index, offset)
         return declared[text]
 
     # -- main loop ---------------------------------------------------------------
 
     def parse(self) -> StructureFile:
-        out = StructureFile(field=self.default_field)
-        for lineno, raw in enumerate(self.lines, start=1):
+        for self.lineno, raw in enumerate(self.lines, start=1):
             line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            self.parse_line(line, lineno, out)
-        self.close_pending(out)
-        return out
+            if line.strip():
+                self.parse_line(line)
+        self.close_pending()
+        return self.out
 
-    def parse_line(self, line: str, lineno: int, out: StructureFile) -> None:
+    def parse_line(self, line: str) -> None:
         head, colon, tail = line.partition(":")
         words = head.split()
+        if not words:
+            raise self.at("expected a directive before ':'")
         key = words[0]
 
         if key == "field":
-            if self.started:
-                raise self.error(lineno, 1, "field must be declared before any block")
-            if self.field is not None:
-                raise self.error(lineno, 1, "field declared twice")
+            if self.block is not None or self.out.order:
+                raise self.at("field must be declared before any block")
+            if self.field_declared:
+                raise self.at("field declared twice")
             if len(words) != 2:
-                raise self.error(lineno, 1, "expected: field Q | field F<p>")
+                raise self.at("expected: field Q | field F<p>")
             try:
-                self.field = parse_field(words[1])
+                self.out.field = parse_field(words[1])
             except FieldError as exc:
-                raise self.error(lineno, self.col_of(lineno, words[1]), str(exc)) from exc
-            out.field = self.field
+                raise self.at(str(exc), HEAD, 1) from exc
+            self.field_declared = True
             return
+        if key in _BODY_KEYS:
+            self.parse_body(key, words, colon, tail)
+            return
+        if key not in _STRUCTS and key != "morphism" and key not in _DECLS:
+            raise self.at(f"unknown directive {key!r}")
 
-        if key in _STRUCT_KINDS:
-            self.started = True
-            self.close_pending(out)
-            if len(words) != 4 or words[2] != "dim" or not words[3].isdigit() or colon:
-                raise self.error(lineno, 1, f"expected: {key} <name> dim <n>")
-            name, dim = words[1], int(words[3])
+        self.close_pending()
+        if key in _STRUCTS:
+            if len(words) != 4 or words[2] != "dim" or not words[3].isdecimal() or colon:
+                raise self.at(f"expected: {key} <name> dim <n>")
+            dim = int(words[3])
             if dim < 1:
-                raise self.error(lineno, self.col_of(lineno, words[3]),
-                                 "dimension must be positive")
-            self.declare_name(name, out, lineno)
-            self.block = _Block(key, name, dim)
-            return
-
-        if key == "morphism":
-            self.started = True
-            self.close_pending(out)
-            if len(words) != 2 or not colon:
-                raise self.error(lineno, 1, "expected: morphism <name> : <src> -> <tgt>")
-            name = words[1]
-            self.declare_name(name, out, lineno)
+                raise self.at("dimension must be positive", HEAD, 3)
+        elif len(words) != 2 or not colon:
+            form = "<src> -> <tgt>" if key == "morphism" else "key=value ..."
+            raise self.at(f"expected: {key} <name> : {form}")
+        name = words[1]
+        if name in self.out.names():
+            raise self.at(f"name {name!r} already declared", HEAD, 1)
+        if key in _STRUCTS:
+            self.block = _Block(key, name, dim, dim)
+        elif key == "morphism":
             src_text, arrow, tgt_text = tail.partition("->")
             if not arrow:
-                raise self.error(lineno, 1, "morphism shape needs '->'")
-            start = len(head) + 2  # the column after ':'
-            src = self.parse_shape(src_text, start, out, lineno)
-            tgt = self.parse_shape(tgt_text, start + len(src_text) + 2, out, lineno)
-            self.morphism = (name, src, tgt, {})
-            return
+                raise self.at("morphism shape needs '->'")
+            src = self.parse_shape(src_text, 0)
+            tgt = self.parse_shape(tgt_text, len(src_text) + 2)
+            self.block = _Block(key, name, src.total, tgt.total, (src, tgt))
+        else:
+            self.parse_decl(key, name, tail)
 
-        if key in ("crossed_system", "partial_action", "extending_datum"):
-            self.started = True
-            self.close_pending(out)
-            if len(words) != 2 or not colon:
-                raise self.error(lineno, 1, f"expected: {key} <name> : key=value ...")
-            name = words[1]
-            self.declare_name(name, out, lineno)
-            self.parse_decl(key, name, tail, lineno, out)
-            return
-
-        if key in _BODY_KEYS:
-            self.parse_body(key, words, colon, tail, lineno, out)
-            return
-
-        raise self.error(lineno, 1, f"unknown directive {key!r}")
-
-    def parse_decl(self, kind: str, name: str, tail: str, lineno: int,
-                   out: StructureFile) -> None:
+    def parse_decl(self, kind: str, name: str, tail: str) -> None:
         """Build the declared object from its keys, resolved in the order of ``_DECLS``."""
         table, build, keys = _DECLS[kind]
-        optional = ("preunit",) if kind == "crossed_system" else ()
-        pairs = self.parse_pairs(tail, lineno, keys + optional)
+        keys_allowed = keys + (("preunit",) if kind == "crossed_system" else ())
+        pairs: dict[str, tuple[str, int]] = {}  # key -> (its value, its tail token index)
+        for index, token in enumerate(tail.split()):
+            key, eq, value = token.partition("=")
+            if not eq or key not in keys_allowed:
+                raise self.at(f"expected one of {', '.join(k + '=' for k in keys_allowed)}; "
+                              f"got {token!r}", TAIL, index)
+            if key in pairs:
+                raise self.at(f"duplicate key {key!r}", TAIL, index)
+            pairs[key] = (value, index)
         for required in keys:
             if required not in pairs:
-                raise self.error(lineno, 1, f"{kind} needs {required}=")
-        args = [self.lookup(key, pairs[key], out, lineno) for key in keys]
-        preunit = (self.lookup("preunit", pairs["preunit"], out, lineno)
-                   if pairs.get("preunit") else None)
+                raise self.at(f"{kind} needs {required}=")
+        args = [self.lookup(key, *pairs[key]) for key in keys]
+        text, index = pairs.get("preunit", ("", 0))
+        preunit = self.lookup("preunit", text, index) if text else None
         try:
             declared = build(*args)
         except ValueError as exc:
-            raise self.error(lineno, 1, str(exc)) from exc
+            raise self.at(str(exc)) from exc
         if kind == "crossed_system":
             if preunit is not None and (preunit.source.total != 1 or preunit.target.total
                                         != declared.algebra.dim * declared.vdim):
-                raise self.error(lineno, 1, "preunit must map K -> A⊗V")
+                raise self.at("preunit must map K -> A⊗V")
             declared = CrossedSystemDecl(declared, preunit)
-        getattr(out, table)[name] = declared
-        out.order.append((kind, name))
+        getattr(self.out, table)[name] = declared
+        self.out.order.append((kind, name))
 
-    def parse_body(self, key: str, words: list[str], colon: str, tail: str,
-                   lineno: int, out: StructureFile) -> None:
-        if key == "e":
-            if self.morphism is None:
-                raise self.error(lineno, 1, "'e' line outside a morphism block")
-            name, src, tgt, values = self.morphism
-            if len(words) != 2 or not colon:
-                raise self.error(lineno, 1, "expected: e <col> : <row>=<scalar> ...")
-            col = self.index(words[1], src.total, lineno, "column")
-            for token in tail.split():
-                row_text, eq, scalar_text = token.partition("=")
-                if not eq:
-                    raise self.error(lineno, self.col_of(lineno, token),
-                                     f"expected <row>=<scalar>, got {token!r}")
-                row = self.index(row_text, tgt.total, lineno, "row")
-                values[(row, col)] = self.scalar(scalar_text, lineno)
-            return
-
-        if self.block is None:
-            raise self.error(lineno, 1, f"{key!r} line outside a structure block")
+    def parse_body(self, key: str, words: list[str], colon: str, tail: str) -> None:
         b = self.block
-        allowed = {
-            "algebra": {"unit", "mul"},
-            "coalgebra": {"counit", "comul"},
-            "bialgebra": {"unit", "mul", "counit", "comul"},
-            "prehopf": {"unit", "mul", "counit", "comul"},
-            "hopf": {"unit", "mul", "counit", "comul", "antipode"},
-        }[b.kind]
-        if key not in allowed:
-            raise self.error(lineno, 1, f"{key!r} not allowed in a {b.kind} block")
-        if not colon:
-            raise self.error(lineno, 1, f"expected ':' in {key} line")
+        if b is None or (b.kind == "morphism") != (key == "e"):
+            raise self.at(f"{key!r} line outside a "
+                          f"{'morphism' if key == 'e' else 'structure'} block")
+        if key != "e":
+            if key not in _STRUCTS[b.kind][1]:
+                raise self.at(f"{key!r} not allowed in a {b.kind} block")
+            if not colon:
+                raise self.at(f"expected ':' in {key} line")
+        entries, parse_scalar, tgt_dim = b.entries[key], self.out.field.parse, b.tgt_dim
 
         if key in ("unit", "counit"):
             if len(words) != 1:
-                raise self.error(lineno, 1, f"expected: {key}: <scalar list>")
+                raise self.at(f"expected: {key}: <scalar list>")
             scalars = tail.split()
-            if len(scalars) != b.dim:
-                raise self.error(lineno, 1,
-                                 f"{key} needs {b.dim} scalars, got {len(scalars)}")
-            table = b.unit if key == "unit" else b.counit
-            for i, text in enumerate(scalars):
-                value = self.scalar(text, lineno)
-                if value:
-                    if key == "unit":
-                        table[(i, 0)] = value
-                    else:
-                        table[(0, i)] = value
+            if len(scalars) != b.src_dim:
+                raise self.at(f"{key} needs {b.src_dim} scalars, got {len(scalars)}")
+            try:
+                for index, text in enumerate(scalars):
+                    value = parse_scalar(text)
+                    if value:
+                        entries[(index, 0) if key == "unit" else (0, index)] = value
+            except FieldError as exc:
+                raise self.at(str(exc), TAIL, index) from exc
             return
 
-        if key == "mul":
-            if len(words) != 3:
-                raise self.error(lineno, 1, "expected: mul <i> <j> : <k>=<scalar> ...")
-            i = self.index(words[1], b.dim, lineno, "basis")
-            j = self.index(words[2], b.dim, lineno, "basis")
-            for token in tail.split():
-                k_text, eq, scalar_text = token.partition("=")
-                if not eq:
-                    raise self.error(lineno, self.col_of(lineno, token),
-                                     f"expected <k>=<scalar>, got {token!r}")
-                k = self.index(k_text, b.dim, lineno, "basis")
-                b.mul[(k, i * b.dim + j)] = self.scalar(scalar_text, lineno)
-            return
-
-        if key == "comul":
-            if len(words) != 2:
-                raise self.error(lineno, 1, "expected: comul <i> : (<j>,<k>)=<scalar> ...")
-            i = self.index(words[1], b.dim, lineno, "basis")
-            for token in tail.split():
-                pair_text, eq, scalar_text = token.partition("=")
-                if not eq or not pair_text.startswith("(") or not pair_text.endswith(")"):
-                    raise self.error(lineno, self.col_of(lineno, token),
-                                     f"expected (<j>,<k>)=<scalar>, got {token!r}")
-                inner = pair_text[1:-1].split(",")
-                if len(inner) != 2:
-                    raise self.error(lineno, self.col_of(lineno, token),
-                                     f"expected (<j>,<k>)=<scalar>, got {token!r}")
-                j = self.index(inner[0], b.dim, lineno, "basis")
-                k = self.index(inner[1], b.dim, lineno, "basis")
-                b.comul[(j * b.dim + k, i)] = self.scalar(scalar_text, lineno)
-            return
-
-        # antipode
-        if len(words) != 2:
-            raise self.error(lineno, 1, "expected: antipode <i> : <j>=<scalar> ...")
-        i = self.index(words[1], b.dim, lineno, "basis")
-        for token in tail.split():
-            j_text, eq, scalar_text = token.partition("=")
-            if not eq:
-                raise self.error(lineno, self.col_of(lineno, token),
-                                 f"expected <j>=<scalar>, got {token!r}")
-            j = self.index(j_text, b.dim, lineno, "basis")
-            b.antipode[(j, i)] = self.scalar(scalar_text, lineno)
+        heads, n_tgt, usage, form = _ENTRIES[key]
+        if len(words) != 1 + len(heads) or not colon:
+            raise self.at(f"expected: {usage}")
+        src = 0
+        for i in heads:
+            src = src * b.src_dim + self.read_index(words[i], b.src_dim, HEAD, i)
+        try:
+            for index, token in enumerate(tail.split()):
+                key_text, eq, scalar_text = token.partition("=")
+                if n_tgt == 1 and eq:
+                    tgt = self.read_index(key_text, tgt_dim, TAIL, index)
+                else:
+                    inner = (key_text[1:-1].split(",")
+                             if key_text[:1] == "(" and key_text[-1:] == ")" else ())
+                    if not eq or len(inner) != n_tgt:
+                        raise self.at(f"expected {form}, got {token!r}", TAIL, index)
+                    tgt, offset = 0, 1  # (j,k): j starts after '('
+                    for text in inner:
+                        tgt = tgt * tgt_dim + self.read_index(text, tgt_dim, TAIL, index, offset)
+                        offset += len(text) + 1
+                entries[(tgt, src)] = parse_scalar(scalar_text)
+        except FieldError as exc:
+            raise self.at(str(exc), TAIL, index, len(key_text) + 1) from exc
 
 
 def parse(text: str, default_field: FieldSpec | None = None) -> StructureFile:

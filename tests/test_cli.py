@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mutants import COMMANDS, constant_spans
@@ -156,6 +156,22 @@ def test_huge_characteristic_exits_two(tmp_path):
     assert "too large" in result.output
 
 
+@pytest.mark.parametrize("text, env, message", [
+    ("field F²\nalgebra A dim 1\n", None,
+     "line 1, col 7: unknown field 'F²' (expected Q or F<p>)"),
+    ("algebra A dim 1\n", {"WCPX_FIELD": "F²"},
+     "WCPX_FIELD: unknown field 'F²' (expected Q or F<p>)"),
+], ids=["declared", "environment"])
+def test_superscript_characteristic_exits_two_with_one_line(tmp_path, text, env, message):
+    path = tmp_path / "field.wx"
+    path.write_text(text, encoding="utf-8")
+    result = run("check-structure", path, env=env)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {path}: {message}" if env is None else f"error: {message}"]
+
+
 def test_wcp_build_non_idempotent_projector_fails_with_witness(tmp_path):
     # 1*1 = 1/2 keeps psi compatible but breaks the unit, so the induced
     # projector is not idempotent; written under tmp_path, not fixtures/
@@ -224,6 +240,69 @@ def test_mutated_fixture_never_raises(tmp_path, data):
         assert result.exception is None or isinstance(result.exception, SystemExit), (
             command, text, result.exception)
         assert result.exit_code in (0, 1, 2), (command, text, result.output)
+
+
+# A valid prefix declaring A, H and two morphisms, for generated lines to refer to.
+GRAMMAR_PREFIX = """field Q
+algebra A dim 2
+unit: 1 0
+mul 1 1 : 1=1
+mul 1 2 : 2=1
+mul 2 1 : 2=1
+mul 2 2 : 1=1
+hopf H dim 1
+unit: 1
+mul 1 1 : 1=1
+counit: 1
+comul 1 : (1,1)=1
+antipode 1 : 1=1
+morphism f : H⊗A -> A
+e 1 : 1=1
+e 2 : 2=1
+morphism g : H⊗H -> A
+e 1 : 1=1
+"""
+GRAMMAR_ATOMS = (
+    "field", "algebra", "coalgebra", "bialgebra", "hopf", "prehopf", "morphism",
+    "crossed_system", "partial_action", "extending_datum", "unit", "counit", "mul", "comul",
+    "antipode", "e", "dim", "K", "Q", "F2", "F²", "v", "psi", "sigma", "preunit", "phi",
+    "omega", "A", "H", "f", "g", "x", "0", "1", "2", "²", "٣", "1/2",
+    ":", "->", "⊗", "*", "=", "(", ",", ")")
+# Every number a line can hold is a single decimal digit: a declared dimension
+# costs memory in proportion to it (one row dict per target row of every map).
+grammar_line = st.lists(
+    st.tuples(st.one_of(st.sampled_from(GRAMMAR_ATOMS),
+                        st.text(st.characters(exclude_categories=("Cs", "Nd")), max_size=3)),
+              st.sampled_from(["", " "])),
+    min_size=1, max_size=8,
+).map(lambda atoms: "".join(atom + sep for atom, sep in atoms)).filter(
+    lambda line: not re.search(r"\d\d", line))
+
+
+@given(prefix=st.booleans(), lines=st.lists(grammar_line, min_size=1, max_size=3),
+       command=st.sampled_from(COMMANDS))
+@example(prefix=False, lines=[":"], command="check-structure")
+@example(prefix=True, lines=["  : x"], command="check-structure")
+@example(prefix=True, lines=["algebra X dim ²"], command="check-structure")
+@example(prefix=True, lines=["morphism m : ² -> 1"], command="check-structure")
+@example(prefix=True, lines=["crossed_system c : algebra=A v=² psi=f sigma=g"],
+         command="wcp-check")
+@example(prefix=False, lines=["field F²"], command="check-structure")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_grammar_lines_never_raise(tmp_path, prefix, lines, command):
+    # lines built from the grammar's keywords, names, numbers and separators and
+    # from arbitrary text: exit 0, 1 or 2, never a traceback, one error line on 2
+    text = (GRAMMAR_PREFIX if prefix else "") + "".join(line + "\n" for line in lines)
+    path = tmp_path / "grammar.wx"
+    path.write_text(text, encoding="utf-8")
+    result = run(command, path)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        text, result.exception)
+    assert result.exit_code in (0, 1, 2), (text, result.output)
+    if result.exit_code == 2:
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, (text, result.output)
 
 
 def test_out_of_memory_in_a_check_exits_two_with_one_line(monkeypatch):

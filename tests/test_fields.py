@@ -43,6 +43,12 @@ def test_parse_field_names():
         parse_field("R")
 
 
+def test_superscript_characteristic_is_refused():
+    # str.isdigit() accepts the superscript two, which int() rejects
+    with pytest.raises(FieldError, match="unknown field 'F²'"):
+        parse_field("F²")
+
+
 def test_no_mixing_of_fields():
     with pytest.raises(FieldError):
         QQ.coerce(Fp(1, 5))

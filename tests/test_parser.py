@@ -116,6 +116,43 @@ def test_zero_factor_in_a_shape_is_a_parse_error_at_its_column(line, col, shape)
     assert err.value.message == f"zero factor in shape {shape!r}"
 
 
+# One case per error that names a token: in each, the offending text also
+# occurs earlier on the line, and the column is that of the token itself.
+Q = "field Q\n"
+
+
+@pytest.mark.parametrize("text, col, message", [
+    (Q + "hopf H dim 1\nantipode 1 : 1=a", 16,
+     "cannot parse scalar 'a': invalid literal for int() with base 10: 'a'"),
+    (Q + "morphism m : 2 -> 1\ne 2 : 2=1", 7, "row index 2 out of range 1..1"),
+    (Q + "coalgebra C dim 1\ncomul 1 : (1,c)=1", 14, "basis index 'c' is not an integer"),
+    (Q + "algebra A dim 1\nmul 1 1 : 1=1 1", 15, "expected <k>=<scalar>, got '1'"),
+    (Q + "algebra a dim 1\nalgebra a dim 1", 9, "name 'a' already declared"),
+    (Q + "algebra A0 dim 0", 16, "dimension must be positive"),
+    (Q + "crossed_system c : algebra=A algebra=A", 30, "duplicate key 'algebra'"),
+    (Q + "partial_action p : p", 20, "expected one of hopf=, algebra=, phi=, omega=; got 'p'"),
+    (Q + "morphism AB : A -> 2", 15, "unknown structure 'A' in shape"),
+    (Q + "crossed_system c : algebra=c v=1 psi=f sigma=g", 28, "unknown algebra 'c'"),
+    (Q + "partial_action p : hopf=p algebra=A phi=f omega=g", 25, "unknown hopf algebra 'p'"),
+    (Q + "extending_datum e : bialgebra=e prehopf=P phi_h=f phi_a=g tau=t", 31,
+     "unknown bialgebra 'e'"),
+    (Q + "bialgebra B dim 1\nextending_datum x : bialgebra=B prehopf=e phi_h=f phi_a=g tau=t", 41,
+     "unknown prehopf object 'e'"),
+    (Q + "algebra A dim 1\ncrossed_system c : algebra=A v=1 psi=s sigma=g", 38,
+     "unknown morphism 's'"),
+    (Q + "algebra A dim 1\ncrossed_system c : algebra=A v=c psi=f sigma=g", 32,
+     "cannot resolve object dimension 'c'"),
+    ("field field", 7, "unknown field 'field' (expected Q or F<p>)"),
+], ids=["scalar", "index", "index-in-pair", "entry-form", "duplicate-name", "dimension",
+        "duplicate-key", "unknown-key", "shape", "algebra", "hopf", "bialgebra", "prehopf",
+        "morphism", "v", "field"])
+def test_error_is_reported_at_the_column_of_its_token(text, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text + "\n")
+    line = text.count("\n") + 1
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 def test_blocks_build_only_the_maps_of_their_kind(monkeypatch):
     # an algebra block builds no counit or comul; at dim 100000 the comul
     # alone would have 10^10 rows, so the spy refuses to build it

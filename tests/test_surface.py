@@ -1,11 +1,12 @@
 """The library surface: ``src/wcpx`` holds what the CLI, ``wcpx.__all__`` and
-the README's library example reach, and that example runs as printed."""
+the README's library example reach, and the README's examples run as printed."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
 import wcpx
+from wcpx.parser import parse
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wcpx"
@@ -41,9 +42,20 @@ def test_every_module_level_definition_is_referenced_exported_or_a_command():
     assert unreached == [], "move code that only tests use to tests/catalog.py, or delete it"
 
 
+def _readme_block(heading: str, fence: str) -> str:
+    """The first fenced block opened by ``fence`` under ``heading`` in README.md."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(heading, 1)[1]
+    return section.split(fence, 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_example_prints_what_its_comments_say(monkeypatch, capsys):
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use\n", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    code = _readme_block("## Library use\n", "```python\n")
     monkeypatch.chdir(ROOT)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "3\nTrue 3\n"
+
+
+def test_readme_structure_file_parses():
+    sf = parse(_readme_block("## The CLI\n", "```\n"))
+    assert sf.order == [("hopf", "H"), ("algebra", "A"), ("morphism", "act"),
+                        ("morphism", "coc"), ("partial_action", "smash")]
