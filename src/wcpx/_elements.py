@@ -1,70 +1,84 @@
-"""Sparse element calculus for the elementwise product oracles.
+"""Sweedler-formula evaluation for the elementwise product oracles.
 
-Elements are {flat basis index: coefficient} dicts and structure maps are
-read entry by entry, so the oracles built here share nothing with the
-compose/tensor pipeline they are checked against except the row-major
-flattening convention.
+An oracle states a product on basis elements in Sweedler notation: expand
+the coproducts of some inputs, apply structure maps to basis tensors of the
+pieces, and read the result off two of them.  ``sweedler`` evaluates such a
+formula on every basis tuple of its inputs at once.
+
+Each structure map is read once, through its public ``rows``, into a
+column index {col: [(row, value)]}.  A term is an input column together
+with the basis indices that later steps still read; terms that agree on
+both are merged.  Values are the kernel's own (ints, F_p residues as ints,
+``Fraction``s) and are multiplied as they are; each output entry is brought
+to canonical form once, when the result map is built.  The oracles so share
+nothing with the compose/tensor pipeline they are checked against except
+the row-major flattening convention.
 """
 
 from __future__ import annotations
 
-from .linmaps import LinMap
+from collections import defaultdict
+from itertools import product
+from operator import itemgetter
 
-Vec = dict[int, object]
-
-
-def basis_vec(i: int, field) -> Vec:
-    return {i: field.one()}
-
-
-def add_into(acc: Vec, vec: Vec, factor=None) -> None:
-    for k, v in vec.items():
-        w = v if factor is None else factor * v
-        if not w:
-            continue
-        if k in acc:
-            s = acc[k] + w
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        else:
-            acc[k] = w
+from .fields import FieldSpec
+from .linmaps import LinMap, ObjectShape
 
 
-def apply_map(m: LinMap, vec: Vec) -> Vec:
-    out: Vec = {}
-    for col, coeff in vec.items():
-        if not coeff:
-            continue
-        for row, entry in m.column_entries(col).items():
-            add_into(out, {row: entry * coeff})
-    return out
+def _column_index(m: LinMap, split: int) -> list[list[tuple[tuple[int, ...], object]]]:
+    """The entries of m by column, each row as its target slots: (row,), or
+    the pair divmod(row, split) for a coproduct."""
+    cols: list[list[tuple[tuple[int, ...], object]]] = [[] for _ in range(m.source.total)]
+    for r, row in enumerate(m.rows):
+        slots = divmod(r, split) if split else (r,)
+        for c, v in row.items():
+            cols[c].append((slots, v))
+    return cols
 
 
-def apply_to_pair(m: LinMap, left: Vec, right: Vec) -> Vec:
-    """Apply a map on a two-factor source to a decomposable element."""
-    factors = m.source.factors
-    if len(factors) != 2:
-        raise ValueError(f"expected a two-factor source, got {m.source}")
-    rdim = factors[1]
-    out: Vec = {}
-    for i, a in left.items():
-        for j, b in right.items():
-            add_into(out, apply_map(m, {i * rdim + j: a * b}))
-    return out
+def sweedler(field: FieldSpec, inputs: tuple[tuple[str, int], ...],
+             steps: tuple[tuple[LinMap, str, str], ...], outputs: str) -> LinMap:
+    """The map from the tensor product of ``inputs`` (named basis slots with
+    their dimensions) that sends each basis tuple to the tensor product of
+    the two ``outputs`` slots after ``steps``.
 
-
-def expand_pairs(comul: LinMap, i: int) -> list[tuple[tuple[int, int], object]]:
-    """The coproduct of basis element i as ((left, right), coefficient) terms."""
-    n = comul.target.factors[1]
-    return [((row // n, row % n), c) for row, c in comul.column_entries(i).items()]
-
-
-def expand_triples(comul: LinMap, i: int) -> list[tuple[tuple[int, int, int], object]]:
-    """The twice-iterated coproduct, expanding the leftmost slot."""
-    terms = []
-    for (j, k), c in expand_pairs(comul, i):
-        for (j1, j2), c2 in expand_pairs(comul, j):
-            terms.append(((j1, j2, k), c * c2))
-    return terms
+    A step ``(m, "x y", "z")`` applies ``m`` to the basis tensor of slots x
+    and y (any number, in order; none for a unit) and names the result z.
+    A step with two target slots, ``(comul, "h", "h1 h2")``, is a coproduct:
+    each piece has the dimension of its source.  Repeating it on the left
+    piece gives the (Delta (x) id) Delta expansion.
+    """
+    dims, outputs = dict(inputs), outputs.split()
+    live = [name for name, _ in inputs]
+    # a term is (input column, *live slot values) -> coefficient
+    terms: dict[tuple, object] = {
+        (col, *multi): 1
+        for col, multi in enumerate(product(*(range(d) for _, d in inputs)))}
+    for k, (m, sources, targets) in enumerate(steps):
+        sources, targets = sources.split(), targets.split()
+        later = {s for _, src, _ in steps[k + 1:] for s in src.split()} | set(outputs)
+        keep = [0] + [1 + i for i, s in enumerate(live) if s in later]
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda key: (key[0],)
+        at = [(1 + live.index(s), dims[s]) for s in sources]
+        split = dims[sources[0]] if len(targets) == 2 else 0
+        for t in targets:
+            dims[t] = split or m.target.total
+        live = [live[i - 1] for i in keep[1:]] + targets
+        cols = _column_index(m, split)
+        acc: dict[tuple, object] = defaultdict(int)
+        for key, coeff in terms.items():
+            c = 0
+            for i, d in at:
+                c = c * d + key[i]
+            base = pick(key)
+            for slots, v in cols[c]:
+                acc[base + slots] += coeff * v
+        terms = acc
+    left, right = (1 + live.index(s) for s in outputs)
+    width = dims[outputs[1]]
+    values: dict[tuple[int, int], object] = defaultdict(int)
+    for key, coeff in terms.items():
+        values[key[left] * width + key[right], key[0]] += coeff
+    source = ObjectShape(tuple(d for _, d in inputs))
+    target = ObjectShape(tuple(dims[s] for s in outputs))
+    return LinMap.from_dict(field, source, target, values)

@@ -17,7 +17,10 @@ Kronecker products factor by factor wherever their splits line up
 does it build the rows of one side.  Networks that fit no Kronecker
 product are contracted by plain composites of permuted maps: the right
 side of the bialgebra axiom (``structures.product_of_coproducts``) costs
-2 d^5 + d^6 operations, not the d^8 of ``tensor(comul, comul)``.
+2 d^5 + d^6 operations, not the d^8 of ``tensor(comul, comul)``, and the
+associativity sides (``weak_crossed.assoc_sides``) take no Kronecker
+product.  In a plain composite, a row of f with one entry is a scaled row
+of g, and with entry 1 it is that row itself, shared.
 
 Scalar boundary: inside the rows, an F_p entry is its residue as a plain
 int in 1..p-1, and a rational entry is an int when it is integral and a
@@ -327,6 +330,15 @@ def _compose(f: LinMap, g: LinMap) -> LinMap:
         g_rows = g._rows
         rows = []
         for frow in f._rows:
+            if not frow:
+                rows.append({})
+                continue
+            if len(frow) == 1:
+                # one entry: a scaled row of g, shared as it is when the scale is 1
+                (j, fj), = frow.items()
+                grow = g_rows[j]
+                rows.append(grow if fj == 1 else _canonical({c: fj * gc for c, gc in grow.items()}, p))
+                continue
             acc: Row = defaultdict(int)
             for j, fj in frow.items():
                 for c, gc in g_rows[j].items():

@@ -159,11 +159,11 @@ class _Parser:
     def read_index(self, text: str, dim: int, part: int, index: int, offset: int = 0) -> int:
         """The 0-based value of the 1-based index ``text`` of an entry line,
         found ``offset`` characters into token ``index`` of ``part``."""
-        try:
-            value = int(text)
-        except ValueError as exc:
+        # ASCII digits only: int() would also take a sign, '_' and other scripts' digits
+        if not (text.isascii() and text.isdecimal()):
             raise self.at(f"{self.block.what[part]} index {text!r} is not an integer",
-                          part, index, offset) from exc
+                          part, index, offset)
+        value = int(text)
         if not 1 <= value <= dim:
             raise self.at(f"{self.block.what[part]} index {value} out of range 1..{dim}",
                           part, index, offset)

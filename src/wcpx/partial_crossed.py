@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import _elements as el
 from .fields import FieldSpec
-from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, tensor
+from .linmaps import LinMap, ShapeMismatchError, braiding, tensor
 from .reporting import (CheckRecord, Report, anchor_for, equality_record, memoised,
                         predicate_record)
 from .structures import AlgebraData, HopfData, after_tensor_comul
@@ -205,31 +205,11 @@ def sweedler_product(act: TwistedPartialAction) -> LinMap:
         (a (x) h)(b (x) l) = sum a (h1 . b) omega(h2 (x) l1) (x) h3 l2
     """
     h, a = act.hopf, act.algebra
-    field = act.field
-    values: dict[tuple[int, int], object] = {}
-    for ai in range(a.dim):
-        for hi in range(h.dim):
-            for bi in range(a.dim):
-                for li in range(h.dim):
-                    col = ((ai * h.dim + hi) * a.dim + bi) * h.dim + li
-                    for (h1, h2, h3), ch in el.expand_triples(h.comul, hi):
-                        for (l1, l2), cl in el.expand_pairs(h.comul, li):
-                            acted = el.apply_to_pair(act.phi, el.basis_vec(h1, field),
-                                                     el.basis_vec(bi, field))
-                            twist = el.apply_to_pair(act.omega, el.basis_vec(h2, field),
-                                                     el.basis_vec(l1, field))
-                            left = el.apply_to_pair(a.mul, el.basis_vec(ai, field), acted)
-                            left = el.apply_to_pair(a.mul, left, twist)
-                            tail = el.apply_to_pair(h.mul, el.basis_vec(h3, field),
-                                                    el.basis_vec(l2, field))
-                            for k, va in left.items():
-                                for m, vh in tail.items():
-                                    key = (k * h.dim + m, col)
-                                    prev = values.get(key, field.zero())
-                                    values[key] = prev + ch * cl * va * vh
-    source = ObjectShape((a.dim, h.dim, a.dim, h.dim))
-    target = ObjectShape((a.dim, h.dim))
-    return LinMap.from_dict(field, source, target, {k: v for k, v in values.items() if v})
+    return el.sweedler(act.field, (("a", a.dim), ("h", h.dim), ("b", a.dim), ("l", h.dim)), (
+        (h.comul, "h", "h12 h3"), (h.comul, "h12", "h1 h2"), (h.comul, "l", "l1 l2"),
+        (act.phi, "h1 b", "acted"), (act.omega, "h2 l1", "twist"),
+        (a.mul, "a acted", "x"), (a.mul, "x twist", "left"), (h.mul, "h3 l2", "tail")),
+        "left tail")
 
 
 def partial_pipeline(act: TwistedPartialAction) -> tuple[Report, WeakCrossedProduct | None]:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import _elements as el
 from .fields import FieldSpec
-from .linmaps import LinMap, ObjectShape, ShapeMismatchError, braiding, identity, tensor
+from .linmaps import LinMap, ShapeMismatchError, braiding, identity, tensor
 from .reporting import (FAIL, PASS, CheckRecord, Report, equality_record, gated, memoised,
                         predicate_record)
 from .structures import BialgebraData, after_tensor_comul, product_of_coproducts
@@ -253,35 +253,13 @@ def bullet_product(d: ExtendingDatum) -> LinMap:
           = sum a (h1 > c1) tau((h2 < c2) (x) g1) (x) (h3 < c3) . g2
     """
     a, h = d.bialgebra, d.hobj
-    field = d.field
-    values: dict[tuple[int, int], object] = {}
-    for ai in range(a.dim):
-        for hi in range(h.dim):
-            for ci in range(a.dim):
-                for gi in range(h.dim):
-                    col = ((ai * h.dim + hi) * a.dim + ci) * h.dim + gi
-                    for (h1, h2, h3), ch in el.expand_triples(h.comul, hi):
-                        for (c1, c2, c3), cc in el.expand_triples(a.comul, ci):
-                            for (g1, g2), cg in el.expand_pairs(h.comul, gi):
-                                coeff = ch * cc * cg
-                                acted = el.apply_to_pair(d.phi_a, el.basis_vec(h1, field),
-                                                         el.basis_vec(c1, field))
-                                moved = el.apply_to_pair(d.phi_h, el.basis_vec(h2, field),
-                                                         el.basis_vec(c2, field))
-                                paired = el.apply_to_pair(d.tau, moved, el.basis_vec(g1, field))
-                                left = el.apply_to_pair(a.mul, el.basis_vec(ai, field), acted)
-                                left = el.apply_to_pair(a.mul, left, paired)
-                                moved3 = el.apply_to_pair(d.phi_h, el.basis_vec(h3, field),
-                                                          el.basis_vec(c3, field))
-                                tail = el.apply_to_pair(h.mul, moved3, el.basis_vec(g2, field))
-                                for k, va in left.items():
-                                    for m, vh in tail.items():
-                                        key = (k * h.dim + m, col)
-                                        prev = values.get(key, field.zero())
-                                        values[key] = prev + coeff * va * vh
-    source = ObjectShape((a.dim, h.dim, a.dim, h.dim))
-    target = ObjectShape((a.dim, h.dim))
-    return LinMap.from_dict(field, source, target, {k: v for k, v in values.items() if v})
+    return el.sweedler(d.field, (("a", a.dim), ("h", h.dim), ("c", a.dim), ("g", h.dim)), (
+        (h.comul, "h", "h12 h3"), (h.comul, "h12", "h1 h2"),
+        (a.comul, "c", "c12 c3"), (a.comul, "c12", "c1 c2"), (h.comul, "g", "g1 g2"),
+        (d.phi_a, "h1 c1", "acted"), (d.phi_h, "h2 c2", "moved"), (d.tau, "moved g1", "paired"),
+        (a.mul, "a acted", "x"), (a.mul, "x paired", "left"),
+        (d.phi_h, "h3 c3", "moved3"), (h.mul, "moved3 g2", "tail")),
+        "left tail")
 
 
 def unified_pipeline(d: ExtendingDatum) -> tuple[Report, WeakCrossedProduct | None]:

@@ -4,8 +4,8 @@ The catalog holds standard examples (cyclic group algebras and their duals,
 the four-dimensional Hopf algebra, split and matrix algebras, tensor
 product algebras) and the canonical twisted partial actions and extending
 data built from them.  ``sweedler_nabla`` is an elementwise oracle for the
-projector, read entry by entry through ``wcpx._elements`` like the
-library's product oracles.
+projector, a Sweedler formula evaluated by ``wcpx._elements.sweedler`` like
+the library's product oracles.
 """
 
 from __future__ import annotations
@@ -179,19 +179,10 @@ def partial_smash_action(field: FieldSpec) -> TwistedPartialAction:
 
 def sweedler_nabla(act: TwistedPartialAction) -> LinMap:
     """Elementwise oracle for the projector: a (x) h -> sum a(h1 . 1) (x) h2."""
-    h, a, field = act.hopf, act.algebra, act.field
-    one_a = a.unit.column_entries(0)
-    values: dict[tuple[int, int], object] = {}
-    for ai in range(a.dim):
-        for hi in range(h.dim):
-            for (h1, h2), c in el.expand_pairs(h.comul, hi):
-                moved = el.apply_to_pair(act.phi, el.basis_vec(h1, field), one_a)
-                prod = el.apply_to_pair(a.mul, el.basis_vec(ai, field), moved)
-                for k, v in prod.items():
-                    key = (k * h.dim + h2, ai * h.dim + hi)
-                    values[key] = values.get(key, field.zero()) + c * v
-    sh = ObjectShape((a.dim, h.dim))
-    return LinMap.from_dict(field, sh, sh, values)
+    h, a = act.hopf, act.algebra
+    return el.sweedler(act.field, (("a", a.dim), ("h", h.dim)), (
+        (h.comul, "h", "h1 h2"), (a.unit, "", "one"), (act.phi, "h1 one", "moved"),
+        (a.mul, "a moved", "prod")), "prod h2")
 
 
 # -- extending data ------------------------------------------------------------------

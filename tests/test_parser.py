@@ -116,8 +116,9 @@ def test_zero_factor_in_a_shape_is_a_parse_error_at_its_column(line, col, shape)
     assert err.value.message == f"zero factor in shape {shape!r}"
 
 
-# One case per error that names a token: in each, the offending text also
-# occurs earlier on the line, and the column is that of the token itself.
+# One case per error that names a token: in each up to the field case, the
+# offending text also occurs earlier on the line, and the column is that of
+# the token itself.
 Q = "field Q\n"
 
 
@@ -143,9 +144,14 @@ Q = "field Q\n"
     (Q + "algebra A dim 1\ncrossed_system c : algebra=A v=c psi=f sigma=g", 32,
      "cannot resolve object dimension 'c'"),
     ("field field", 7, "unknown field 'field' (expected Q or F<p>)"),
+    # a basis index is ASCII digits only, though int() reads each of these
+    (Q + "algebra A dim 12\nmul +1 2 : 12=1", 5, "basis index '+1' is not an integer"),
+    (Q + "algebra A dim 12\nmul 1 \u0662 : 12=1", 7, "basis index '\u0662' is not an integer"),
+    (Q + "algebra A dim 12\nmul 1 2 : 1_2=1", 11, "basis index '1_2' is not an integer"),
 ], ids=["scalar", "index", "index-in-pair", "entry-form", "duplicate-name", "dimension",
         "duplicate-key", "unknown-key", "shape", "algebra", "hopf", "bialgebra", "prehopf",
-        "morphism", "v", "field"])
+        "morphism", "v", "field", "index-sign", "index-arabic-indic-digit",
+        "index-underscore"])
 def test_error_is_reported_at_the_column_of_its_token(text, col, message):
     with pytest.raises(ParseError) as err:
         parse(text + "\n")

@@ -1,11 +1,16 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalog import (add, group_algebra, partial_smash_action, scale, set_column, sub,
-                     tensor_algebra)
+from catalog import (add, group_algebra, partial_smash_action, s3_smash_datum, scale,
+                     set_column, sub, tensor_algebra)
+from wcpx import linmaps
+from wcpx.fields import QQ
 from wcpx.linmaps import LinMap, braiding, equals, identity, shape, tensor
 from wcpx import partial_crossed as pc
+from wcpx import unified_product as up
 from wcpx import weak_crossed as wc
 
 
@@ -225,3 +230,43 @@ def test_product_checks_are_evaluated_once_per_built_product(field, monkeypatch)
     monkeypatch.undo()
     changed = replace(product, system=replace(system, psi=scale(system.psi, 2)))
     assert wc.product_checks(changed)["wcp.nabla_idempotent"].failed
+
+
+# -- associativity without Kronecker products -----------------------------------------
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_assoc_sides_equal_the_kronecker_composites(data):
+    # any bilinear map on a space of two factors, associative or not: the
+    # sides keep the Kronecker forms' factor shapes, so witnesses do not move
+    a, v = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    n = a * v
+    entries = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=n * n, max_size=n * n)
+    mu = LinMap(QQ, shape(a, v, a, v), shape(a, v),
+                data.draw(st.lists(entries, min_size=n, max_size=n)))
+    id_av = identity(QQ, mu.target)
+    left, right = wc.assoc_sides(mu)
+    assert left == mu @ tensor(mu, id_av)
+    assert right == mu @ tensor(id_av, mu)
+
+
+@pytest.mark.parametrize("built", [
+    lambda: pc.partial_pipeline(partial_smash_action(QQ))[1],
+    lambda: up.unified_pipeline(s3_smash_datum(QQ))[1],
+], ids=["partial_smash", "s3_smash"])
+def test_associativity_records_take_no_kronecker_product(built, monkeypatch):
+    product = built()
+    products = (product.system.mu_tensor, product.mu_times)
+    factors = []
+    real = linmaps.tensor
+
+    def spy(*maps):
+        factors.append(maps)
+        return real(*maps)
+
+    for module in (linmaps, wc):
+        monkeypatch.setattr(module, "tensor", spy)
+    report = wc.product_checks.__wrapped__(product)  # past the memo of the build
+    assert report["wcp.product_assoc"].passed and report["wcp.restricted_assoc"].passed
+    assert factors  # the spy sees product_checks' other records
+    assert not [maps for maps in factors if any(m is mu for m in maps for mu in products)]
